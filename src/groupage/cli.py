@@ -247,11 +247,10 @@ def cmd_validate(n: int, p: float, k: int, num_cycles: int, seeds: list[int]) ->
         summary = sim.empirical_average_age(trace)
         moments = sim.empirical_moments(trace)
         count = trace.num_cycles
-        se_mean = float(trace.cycle_lengths.std(ddof=1)) / count**0.5
-        squares = trace.cycle_lengths * trace.cycle_lengths
-        se_second = float(squares.std(ddof=1)) / count**0.5
-        per_cycle_service = trace.service_times.mean(axis=(1, 2))
-        se_service = float(per_cycle_service.std(ddof=1)) / count**0.5
+        cycles = trace.cycle_lengths
+        se_mean = float(cycles.std(ddof=1)) / count**0.5
+        se_second = float((cycles * cycles).std(ddof=1)) / count**0.5
+        se_service = float(trace.mean_service_times.std(ddof=1)) / count**0.5
         legs = [
             ("age", summary.overall_age, closed.average_age, summary.standard_error),
             ("mean_cycle", moments.mean_cycle, closed.mean_cycle, se_mean),

@@ -11,24 +11,14 @@ dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["BRANCH_POINT", "BranchValue", "lambert_w0", "lambert_wm1"]
+__all__ = ["BRANCH_POINT", "lambert_w0", "lambert_wm1"]
 
 # -1/e, where the two real branches meet at W = -1
 BRANCH_POINT = -math.exp(-1.0)
 
 _MAX_ITERATIONS = 100
 _RESIDUAL_RTOL = 1e-13
-
-
-@dataclass(frozen=True)
-class BranchValue:
-    """A solved point: argument y, value w with w*exp(w) = y, and the branch used."""
-
-    argument: float
-    value: float
-    branch: str  # "principal" or "minus-one"
 
 
 def _branch_series(y: float, sign: float) -> float:
@@ -102,12 +92,3 @@ def lambert_wm1(y: float) -> float:
         log_log = math.log(-log_neg_y)
         w = log_neg_y - log_log + log_log / log_neg_y
     return _halley(y, min(w, -1.0), lo=-math.inf, hi=-1.0)
-
-
-def solve_branch(y: float, branch: str) -> BranchValue:
-    """Solve w*exp(w) = y on the requested branch ("principal" or "minus-one")."""
-    if branch == "principal":
-        return BranchValue(argument=y, value=lambert_w0(y), branch=branch)
-    if branch == "minus-one":
-        return BranchValue(argument=y, value=lambert_wm1(y), branch=branch)
-    raise ValueError(f"unknown branch {branch!r}")

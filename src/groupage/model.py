@@ -12,19 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "SystemConfig",
-    "GroupOutcome",
     "all_clear_probability",
     "validate_config",
     "divisors",
-    "sample_statuses",
-    "group_outcome",
-    "source_service_time",
 ]
 
 
@@ -63,14 +56,6 @@ class SystemConfig:
             raise ValueError(f"q={self.q} inconsistent with (1-p)**k")
 
 
-@dataclass(frozen=True)
-class GroupOutcome:
-    """Result of serving one group: whether any source was positive, and the slots used."""
-
-    has_positive: bool
-    group_service_time: int
-
-
 def validate_config(n: int, p: float, k: int) -> SystemConfig:
     """Check (n, p, k) and build a SystemConfig with m and q filled in."""
     if k < 1:
@@ -90,28 +75,3 @@ def divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
     return small + large[::-1]
-
-
-def sample_statuses(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw one cycle of i.i.d. Bernoulli(p) statuses as an (m, k) 0/1 array."""
-    return (rng.random((config.m, config.k)) < config.p).astype(np.int8)
-
-
-def group_outcome(group_statuses: Sequence[int], expected_len: int | None = None) -> GroupOutcome:
-    """Outcome for one group's statuses: aggregate-only (1 slot) or aggregate plus k individual updates."""
-    values = [int(s) for s in group_statuses]
-    if expected_len is not None and len(values) != expected_len:
-        raise ValueError(f"expected {expected_len} statuses, got {len(values)}")
-    if not values:
-        raise ValueError("a group must contain at least one source")
-    if any(v not in (0, 1) for v in values):
-        raise ValueError("statuses must be binary (0 or 1)")
-    has_positive = any(v == 1 for v in values)
-    return GroupOutcome(has_positive, len(values) + 1 if has_positive else 1)
-
-
-def source_service_time(has_positive: bool, j: int) -> int:
-    """Slots until the j-th source of a group is delivered: 1 if the group is all clear, else j+1."""
-    if j < 1:
-        raise ValueError(f"source index j must be >= 1, got {j}")
-    return j + 1 if has_positive else 1

@@ -10,15 +10,23 @@ The age estimator is the renewal-reward ratio over complete per-source
 renewal intervals: with Y the spacing between consecutive generation instants
 and S the service time of the update closing the interval, each interval
 contributes area Y^2/2 + Y*S, and the time-average age is the summed area
-over the summed interval lengths. All raw quantities are integers, so the
-accumulated sums (and therefore the estimates) are exact and identical
-between the full-trace and streaming paths.
+over the summed interval lengths.
+
+All k sources of a group are generated when the group's window opens, so they
+share its intervals Y, and source j's service time is S = 1 + j*F with F the
+group's flag (some source positive). A cycle's whole state is therefore its m
+group flags, and every per-source sum is affine in j: sum(Y*S) = sum(Y) +
+j*sum(Y*F). One accumulator folds the flags, chunk by chunk in cycle order,
+into exact integer per-group sums and the two per-interval pooled series of
+the standard error. The full-trace and streaming estimates both run through
+it, so they are identical to the last bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,24 +44,51 @@ __all__ = [
 
 from .analytic import MomentSet
 
+# Uniform draws per chunk (2 MB of float64); a chunk holds max(1, CHUNK_DRAWS // n) cycles.
+# Larger chunks measured no faster, and at k = 1 a chunk's per-group arrays are as long as its draws.
+CHUNK_DRAWS = 2**18
+
 
 @dataclass(frozen=True)
 class CycleTrace:
-    """One simulated realization: per-cycle group times and per-source delivery data.
+    """One simulated realization, stored as its per-cycle group flags.
 
-    Shapes: group_times (N, m), delivery_offsets and service_times (N, m, k),
-    cycle_lengths (N,). Offsets are measured from the start of their own cycle;
-    the delivery offset of source (i, j) is the sum of the group times before
-    group i plus the source's service time.
+    flags (N, m) is True where a group has at least one positive source.
+    Everything else is derived on access: group_times (N, m), cycle_lengths
+    and mean_service_times (N,), and the per-source service_times and
+    delivery_offsets (N, m, k). Offsets are measured from the start of their
+    own cycle; the delivery offset of source (i, j) is the sum of the group
+    times before group i plus the source's service time.
     """
 
     config: SystemConfig
     seed: int
     num_cycles: int
-    group_times: np.ndarray
-    delivery_offsets: np.ndarray
-    service_times: np.ndarray
-    cycle_lengths: np.ndarray
+    flags: np.ndarray
+
+    @property
+    def group_times(self) -> np.ndarray:
+        return np.where(self.flags, self.config.k + 1, 1)
+
+    @property
+    def cycle_lengths(self) -> np.ndarray:
+        return self.config.m + self.config.k * self.flags.sum(axis=1, dtype=np.int64)
+
+    @property
+    def mean_service_times(self) -> np.ndarray:
+        """Service time averaged over the n sources, per cycle: (n + F*k(k+1)/2) / n with F flagged groups."""
+        n, k = self.config.n, self.config.k
+        return (n + self.flags.sum(axis=1, dtype=np.int64) * (k * (k + 1) // 2)) / n
+
+    @property
+    def service_times(self) -> np.ndarray:
+        return 1 + self.flags[:, :, None] * np.arange(1, self.config.k + 1, dtype=np.int64)
+
+    @property
+    def delivery_offsets(self) -> np.ndarray:
+        group_times = self.group_times
+        starts = np.cumsum(group_times, axis=1) - group_times
+        return starts[:, :, None] + self.service_times
 
 
 @dataclass(frozen=True)
@@ -67,54 +102,77 @@ class AgeSummary:
     seed: int
 
 
-def _sample_chunk(config: SystemConfig, rng: np.random.Generator, cycles: int):
-    """Draw `cycles` cycles; returns (group_times, service_times, cycle_lengths, starts)."""
-    m, k, p = config.m, config.k, config.p
-    positive = (rng.random((cycles, m, k)) < p).any(axis=2)
-    group_times = 1 + k * positive.astype(np.int64)
-    cycle_lengths = group_times.sum(axis=1)
-    starts = np.zeros_like(group_times)
-    np.cumsum(group_times[:, :-1], axis=1, out=starts[:, 1:])
-    j_index = np.arange(1, k + 1, dtype=np.int64)
-    service_times = 1 + positive[:, :, None] * j_index
-    return group_times, service_times, cycle_lengths, starts
+def _cycles_per_chunk(config: SystemConfig) -> int:
+    return max(1, CHUNK_DRAWS // config.n)
+
+
+def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int, chunk_cycles: int) -> Iterator[np.ndarray]:
+    """Group flags of num_cycles seeded cycles, (cycles, m) per chunk of up to chunk_cycles cycles.
+
+    A chunk draws (cycles, m, k) uniforms and flags a group when any of its k
+    draws is below p, so the stream consumed does not depend on the chunking.
+    The flags equal (draws < p).any(axis=2); going through the positions of
+    the positive draws is several times faster for small k.
+    """
+    rng = np.random.default_rng(seed)
+    m, k = config.m, config.k
+    for start in range(0, num_cycles, chunk_cycles):
+        cycles = min(chunk_cycles, num_cycles - start)
+        positive = np.flatnonzero(rng.random((cycles, m, k)) < config.p)
+        flags = np.zeros(cycles * m, dtype=bool)
+        flags[positive // k] = True
+        yield flags.reshape(cycles, m)
 
 
 def simulate_cycles(config: SystemConfig, num_cycles: int, seed: int) -> CycleTrace:
     """Simulate num_cycles i.i.d. update cycles, deterministically for a given seed."""
     if num_cycles < 1:
         raise ValueError(f"num_cycles must be >= 1, got {num_cycles}")
-    rng = np.random.default_rng(seed)
-    group_times, service_times, cycle_lengths, starts = _sample_chunk(config, rng, num_cycles)
-    delivery_offsets = starts[:, :, None] + service_times
-    return CycleTrace(
-        config=config,
-        seed=seed,
-        num_cycles=num_cycles,
-        group_times=group_times,
-        delivery_offsets=delivery_offsets,
-        service_times=service_times,
-        cycle_lengths=cycle_lengths,
-    )
+    flags = np.concatenate(list(_flag_chunks(config, seed, num_cycles, _cycles_per_chunk(config))))
+    return CycleTrace(config=config, seed=seed, num_cycles=num_cycles, flags=flags)
 
 
-def _summary_from_sums(
-    config: SystemConfig,
-    seed: int,
-    num_cycles: int,
-    interval_sum: np.ndarray,
-    interval_sq_sum: np.ndarray,
-    interval_service_sum: np.ndarray,
-    pooled_intervals: np.ndarray,
-    pooled_double_areas: np.ndarray,
-) -> AgeSummary:
+def _estimate(config: SystemConfig, seed: int, num_cycles: int, flag_chunks: Iterable[np.ndarray]) -> AgeSummary:
+    """Renewal-reward age estimate from a run's group flags, fed in cycle order.
+
+    Over the N-1 complete intervals it keeps per-group sums of Y, Y^2 and Y*F
+    and, per interval, the pooled sums over all n sources of Y and of the
+    double area Y^2 + 2*Y*S = sum over groups of k*Y^2 + 2k*Y + k(k+1)*Y*F.
+    Across chunks it carries only the time from each group's last generation
+    instant to the end of that cycle.
+    """
+    m, k = config.m, config.k
+    sums = np.zeros((3, m), dtype=np.int64)  # per group: sum Y, sum Y^2, sum Y*F
+    pooled_intervals: list[np.ndarray] = []
+    pooled_double_areas: list[np.ndarray] = []
+    carry: np.ndarray | None = None
+    for flags in flag_chunks:
+        group_times = np.where(flags, k + 1, 1)
+        ends = np.cumsum(group_times, axis=1)
+        intervals = ends - group_times  # start offsets within the cycle
+        to_cycle_end = ends[:, -1:] - intervals
+        intervals[1:] += to_cycle_end[:-1]
+        if carry is None:
+            intervals, flags = intervals[1:], flags[1:]
+        else:
+            intervals[0] += carry
+        carry = to_cycle_end[-1]
+        squares = intervals * intervals
+        flagged = intervals * flags
+        for row, term in zip(sums, (intervals, squares, flagged)):
+            row += term.sum(axis=0)
+        y = intervals.sum(axis=1)
+        pooled_intervals.append(k * y)
+        pooled_double_areas.append(k * (squares.sum(axis=1) + 2 * y + (k + 1) * flagged.sum(axis=1)))
+    interval_sum, interval_sq_sum, interval_flag_sum = sums[:, :, None]
+    interval_service_sum = interval_sum + np.arange(1, k + 1, dtype=np.int64) * interval_flag_sum
     per_source = (0.5 * interval_sq_sum + interval_service_sum) / interval_sum
-    overall = float(per_source.mean())
-    se = _pooled_standard_error(pooled_intervals, pooled_double_areas, config.n)
     return AgeSummary(
         per_source_age=per_source,
-        overall_age=overall,
-        standard_error=se,
+        overall_age=float(per_source.mean()),
+        standard_error=_pooled_standard_error(
+            np.concatenate(pooled_intervals), np.concatenate(pooled_double_areas), config.n
+        ),
         num_cycles=num_cycles,
         seed=seed,
     )
@@ -143,103 +201,46 @@ def _pooled_standard_error(pooled_intervals: np.ndarray, pooled_double_areas: np
 def empirical_average_age(trace: CycleTrace) -> AgeSummary:
     """Renewal-reward age estimate from a full trace (needs >= 2 cycles).
 
-    Generation instants are reconstructed on the absolute time axis; the
-    N-1 complete per-source renewal intervals between them feed the ratio
-    estimator, discarding the partial interval before the first generation.
+    The N-1 complete per-source renewal intervals between generation instants
+    feed the ratio estimator, discarding the partial interval before the first
+    generation. The trace's flags are folded in the same chunks simulate_age
+    draws.
     """
     if trace.num_cycles < 2:
         raise ValueError("age estimation requires at least 2 cycles")
-    cycle_starts = np.zeros(trace.num_cycles, dtype=np.int64)
-    np.cumsum(trace.cycle_lengths[:-1], out=cycle_starts[1:])
-    generation = cycle_starts[:, None, None] + (trace.delivery_offsets - trace.service_times)
-    intervals = np.diff(generation, axis=0)  # (N-1, m, k)
-    closing_service = trace.service_times[1:]
-    interval_sum = intervals.sum(axis=0)
-    interval_sq = intervals * intervals
-    interval_sq_sum = interval_sq.sum(axis=0)
-    interval_service = intervals * closing_service
-    interval_service_sum = interval_service.sum(axis=0)
-    pooled_intervals = intervals.sum(axis=(1, 2))
-    pooled_double_areas = (interval_sq + 2 * interval_service).sum(axis=(1, 2))
-    return _summary_from_sums(
-        trace.config,
-        trace.seed,
-        trace.num_cycles,
-        interval_sum,
-        interval_sq_sum,
-        interval_service_sum,
-        pooled_intervals,
-        pooled_double_areas,
-    )
+    chunk = _cycles_per_chunk(trace.config)
+    flag_chunks = (trace.flags[start : start + chunk] for start in range(0, trace.num_cycles, chunk))
+    return _estimate(trace.config, trace.seed, trace.num_cycles, flag_chunks)
 
 
-def simulate_age(config: SystemConfig, num_cycles: int, seed: int, chunk_cycles: int = 8192) -> AgeSummary:
-    """Streaming equivalent of simulate_cycles + empirical_average_age.
+def simulate_age(
+    config: SystemConfig, num_cycles: int, seed: int, chunk_cycles: int | None = None
+) -> AgeSummary:
+    """simulate_cycles + empirical_average_age without keeping the trace.
 
-    Processes cycles in chunks, keeping only integer running sums and two
-    per-interval pooled series, so memory stays O(m*k + num_cycles) instead of
-    O(num_cycles * n). Consumes the random stream identically to
-    simulate_cycles, and produces bit-identical estimates.
+    Draws and folds cycles in chunks of max(1, CHUNK_DRAWS // n) cycles, or
+    chunk_cycles if given, so memory is one chunk plus O(num_cycles) for the
+    two pooled per-interval series. Consumes the random stream identically to
+    simulate_cycles, and produces bit-identical estimates for any chunking.
     """
     if num_cycles < 2:
         raise ValueError("age estimation requires at least 2 cycles")
-    if chunk_cycles < 1:
+    if chunk_cycles is None:
+        chunk_cycles = _cycles_per_chunk(config)
+    elif chunk_cycles < 1:
         raise ValueError(f"chunk_cycles must be >= 1, got {chunk_cycles}")
-    m, k = config.m, config.k
-    rng = np.random.default_rng(seed)
-    interval_sum = np.zeros((m, k), dtype=np.int64)
-    interval_sq_sum = np.zeros((m, k), dtype=np.int64)
-    interval_service_sum = np.zeros((m, k), dtype=np.int64)
-    pooled_interval_parts: list[np.ndarray] = []
-    pooled_area_parts: list[np.ndarray] = []
-    prev_generation: np.ndarray | None = None  # (m, k) absolute instants, last cycle so far
-    time_offset = 0
-    done = 0
-    while done < num_cycles:
-        chunk = min(chunk_cycles, num_cycles - done)
-        group_times, service_times, cycle_lengths, starts = _sample_chunk(config, rng, chunk)
-        cycle_starts = np.zeros(chunk, dtype=np.int64)
-        np.cumsum(cycle_lengths[:-1], out=cycle_starts[1:])
-        generation = (time_offset + cycle_starts)[:, None, None] + np.broadcast_to(
-            starts[:, :, None], (chunk, m, k)
-        )
-        if prev_generation is None:
-            intervals = np.diff(generation, axis=0)
-            closing_service = service_times[1:]
-        else:
-            stacked = np.concatenate([prev_generation[None, :, :], generation], axis=0)
-            intervals = np.diff(stacked, axis=0)
-            closing_service = service_times
-        if intervals.size:
-            interval_sum += intervals.sum(axis=0)
-            interval_sq = intervals * intervals
-            interval_sq_sum += interval_sq.sum(axis=0)
-            interval_service = intervals * closing_service
-            interval_service_sum += interval_service.sum(axis=0)
-            pooled_interval_parts.append(intervals.sum(axis=(1, 2)))
-            pooled_area_parts.append((interval_sq + 2 * interval_service).sum(axis=(1, 2)))
-        prev_generation = generation[-1]
-        time_offset += int(cycle_lengths.sum())
-        done += chunk
-    return _summary_from_sums(
-        config,
-        seed,
-        num_cycles,
-        interval_sum,
-        interval_sq_sum,
-        interval_service_sum,
-        np.concatenate(pooled_interval_parts),
-        np.concatenate(pooled_area_parts),
-    )
+    return _estimate(config, seed, num_cycles, _flag_chunks(config, seed, num_cycles, chunk_cycles))
 
 
 def empirical_moments(trace: CycleTrace) -> MomentSet:
     """Sample cycle moments and mean service time; age is the plug-in renewal ratio."""
     cycles = trace.cycle_lengths
     count = trace.num_cycles
+    n, k = trace.config.n, trace.config.k
     mean = float(cycles.sum()) / count
     second = float((cycles * cycles).sum()) / count
-    service = float(trace.service_times.sum()) / (count * trace.config.n)
+    service_total = count * n + int(trace.flags.sum()) * (k * (k + 1) // 2)
+    service = float(service_total) / (count * n)
     return MomentSet(
         mean_cycle=mean,
         second_moment_cycle=second,
@@ -262,10 +263,11 @@ def cross_term_check(trace: CycleTrace) -> float:
         raise ValueError("correlation check requires at least 2 cycles")
     cycle_starts = np.zeros(trace.num_cycles, dtype=np.int64)
     np.cumsum(trace.cycle_lengths[:-1], out=cycle_starts[1:])
-    generation = cycle_starts[:, None, None] + (trace.delivery_offsets - trace.service_times)
+    service_times = trace.service_times
+    generation = cycle_starts[:, None, None] + (trace.delivery_offsets - service_times)
     count = trace.num_cycles - 1
     intervals = np.diff(generation, axis=0).reshape(count, -1).astype(np.float64)
-    services = trace.service_times[1:].reshape(count, -1).astype(np.float64)
+    services = service_times[1:].reshape(count, -1).astype(np.float64)
     intervals -= intervals.mean(axis=0)
     services -= services.mean(axis=0)
     covariance = (intervals * services).sum(axis=0)

@@ -1,14 +1,19 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's own code paths: the expanded age
-formula catches transcription errors in the composed form, and the bisection
+formula catches transcription errors in the composed form, the bisection
 solver checks the Lambert W iteration against nothing but monotonicity of
-x * exp(x).
+x * exp(x), and the per-source sampler and estimator redo the simulator's
+work source by source, with no use of the per-group shortcuts.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 
 def expanded_average_age(n: int, p: float, k: int) -> float:
@@ -52,3 +57,80 @@ def per_group_time_moments(p: float, k: int) -> tuple[float, float]:
     mean = q * 1.0 + (1.0 - q) * (k + 1)
     second = q * 1.0 + (1.0 - q) * (k + 1) ** 2
     return mean, second
+
+
+@dataclass(frozen=True)
+class GroupOutcome:
+    """Result of serving one group: whether any source was positive, and the slots used."""
+
+    has_positive: bool
+    group_service_time: int
+
+
+def sample_statuses(config, rng: np.random.Generator) -> np.ndarray:
+    """Draw one cycle of i.i.d. Bernoulli(p) statuses as an (m, k) 0/1 array."""
+    return (rng.random((config.m, config.k)) < config.p).astype(np.int8)
+
+
+def group_outcome(group_statuses: Sequence[int], expected_len: int | None = None) -> GroupOutcome:
+    """Outcome for one group's statuses: aggregate-only (1 slot) or aggregate plus k individual updates."""
+    values = [int(s) for s in group_statuses]
+    if expected_len is not None and len(values) != expected_len:
+        raise ValueError(f"expected {expected_len} statuses, got {len(values)}")
+    if not values:
+        raise ValueError("a group must contain at least one source")
+    if any(v not in (0, 1) for v in values):
+        raise ValueError("statuses must be binary (0 or 1)")
+    has_positive = any(v == 1 for v in values)
+    return GroupOutcome(has_positive, len(values) + 1 if has_positive else 1)
+
+
+def source_service_time(has_positive: bool, j: int) -> int:
+    """Slots until the j-th source of a group is delivered: 1 if the group is all clear, else j+1."""
+    if j < 1:
+        raise ValueError(f"source index j must be >= 1, got {j}")
+    return j + 1 if has_positive else 1
+
+
+def reference_service_times(config, num_cycles: int, seed: int) -> np.ndarray:
+    """(N, m, k) per-source service times, drawn cycle by cycle from the simulator's seeded stream."""
+    rng = np.random.default_rng(seed)
+    service = np.empty((num_cycles, config.m, config.k), dtype=np.int64)
+    for cycle in range(num_cycles):
+        statuses = sample_statuses(config, rng)
+        for i in range(config.m):
+            outcome = group_outcome(statuses[i], expected_len=config.k)
+            service[cycle, i] = [source_service_time(outcome.has_positive, j) for j in range(1, config.k + 1)]
+    return service
+
+
+def per_source_age_estimate(service_times: np.ndarray, delivery_offsets: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Per-source renewal-reward age estimate over full (N, m, k) arrays: (per-source ages, overall age, SE).
+
+    Each source's generation instants are rebuilt on the absolute time axis;
+    the N-1 complete intervals Y between them, each closed by an update with
+    service time S, contribute area Y^2/2 + Y*S. The standard error is the
+    delta method on the per-interval sums pooled over all sources, with the
+    lag-1 autocovariance of consecutive intervals. All sums are exact int64.
+    """
+    count, m, k = service_times.shape
+    n = m * k
+    cycle_lengths = service_times[:, :, -1].sum(axis=1)  # the last source of a group closes its window
+    cycle_starts = np.zeros(count, dtype=np.int64)
+    np.cumsum(cycle_lengths[:-1], out=cycle_starts[1:])
+    generation = cycle_starts[:, None, None] + (delivery_offsets - service_times)
+    intervals = np.diff(generation, axis=0)  # (N-1, m, k)
+    interval_sq = intervals * intervals
+    interval_service = intervals * service_times[1:]
+    per_source = (0.5 * interval_sq.sum(axis=0) + interval_service.sum(axis=0)) / intervals.sum(axis=0)
+    pooled_intervals = intervals.sum(axis=(1, 2))
+    pooled_double_areas = (interval_sq + 2 * interval_service).sum(axis=(1, 2))
+    total_intervals = int(pooled_intervals.sum())
+    pooled_age = float(pooled_double_areas.sum()) / (2.0 * total_intervals)
+    residuals = (0.5 * pooled_double_areas - pooled_age * pooled_intervals) / n
+    intervals_count = len(residuals)
+    gamma0 = float(residuals @ residuals) / intervals_count
+    gamma1 = float(residuals[:-1] @ residuals[1:]) / intervals_count if intervals_count > 1 else 0.0
+    variance = max(gamma0 + 2.0 * gamma1, 0.0) / intervals_count
+    mean_interval = total_intervals / (n * intervals_count)
+    return per_source, float(per_source.mean()), math.sqrt(variance) / mean_interval

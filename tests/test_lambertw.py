@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from groupage.lambertw import BRANCH_POINT, lambert_w0, lambert_wm1, solve_branch
+from groupage.lambertw import BRANCH_POINT, lambert_w0, lambert_wm1
 
 from oracles import bisect_lambert
 
@@ -79,13 +79,3 @@ def test_principal_branch_nonnegative_arguments():
         assert abs(w * math.exp(w) - y) <= 1e-12 * abs(y)
     assert lambert_w0(1.0) == pytest.approx(0.5671432904097838, rel=1e-12)
     assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_solve_branch_wrapper():
-    point = solve_branch(-0.2, "principal")
-    assert point.value == lambert_w0(-0.2)
-    assert point.branch == "principal"
-    point = solve_branch(-0.2, "minus-one")
-    assert point.value == lambert_wm1(-0.2)
-    with pytest.raises(ValueError):
-        solve_branch(-0.2, "plus-one")

@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from groupage.model import (
-    SystemConfig,
-    all_clear_probability,
-    divisors,
-    group_outcome,
-    sample_statuses,
-    source_service_time,
-    validate_config,
-)
+from groupage.model import SystemConfig, all_clear_probability, divisors, validate_config
 
-from oracles import brute_force_divisors
+from oracles import brute_force_divisors, group_outcome, sample_statuses, source_service_time
 
 
 def test_validate_config_fills_derived_fields():

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupage.analytic import average_age
-from groupage.model import divisors, group_outcome, sample_statuses, validate_config
+from groupage.model import divisors, validate_config
 from groupage.sim import (
     cross_term_check,
     empirical_average_age,
@@ -11,6 +13,8 @@ from groupage.sim import (
     simulate_age,
     simulate_cycles,
 )
+
+from oracles import group_outcome, per_source_age_estimate, reference_service_times, sample_statuses
 
 
 @st.composite
@@ -155,6 +159,42 @@ def test_streaming_mode_matches_full_trace_exactly(chunk):
     assert full.overall_age == streamed.overall_age
     assert full.standard_error == streamed.standard_error
     assert (full.num_cycles, full.seed) == (streamed.num_cycles, streamed.seed)
+
+
+@st.composite
+def reference_runs(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    k = draw(st.sampled_from(divisors(n)))
+    p = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    num_cycles = draw(st.integers(min_value=2, max_value=60))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return validate_config(n, p, k), num_cycles, seed
+
+
+@settings(deadline=None, max_examples=60)
+@given(reference_runs())
+def test_estimates_equal_per_source_reference_exactly(run):
+    cfg, num_cycles, seed = run
+    trace = simulate_cycles(cfg, num_cycles, seed)
+    assert np.array_equal(trace.service_times, reference_service_times(cfg, num_cycles, seed))
+    per_source, overall, se = per_source_age_estimate(trace.service_times, trace.delivery_offsets)
+    summaries = [empirical_average_age(trace)]
+    summaries += [simulate_age(cfg, num_cycles, seed, chunk_cycles=chunk) for chunk in (1, 3, 97, None)]
+    for summary in summaries:
+        assert np.array_equal(summary.per_source_age, per_source)
+        assert summary.overall_age == overall
+        assert summary.standard_error == se
+
+
+def test_streaming_peak_memory_is_one_chunk():
+    cfg = validate_config(1200, 0.01, 24)
+    tracemalloc.start()
+    try:
+        simulate_age(cfg, 12_800, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_simulate_cycles_agrees_with_model_sampling_ops():
