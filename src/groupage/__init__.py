@@ -28,7 +28,6 @@ from .optimize import (
 from .sim import (
     AgeSummary,
     CycleTrace,
-    cross_term_check,
     empirical_average_age,
     empirical_moments,
     simulate_age,

@@ -37,13 +37,12 @@ ENUMERATION_MAX_SOURCES = 20
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Cycle moments and the average age they imply, tagged with how they were obtained."""
+    """Cycle moments and the average age they imply."""
 
     mean_cycle: float
     second_moment_cycle: float
     mean_service: float
     average_age: float
-    source_label: str
 
 
 def expected_cycle_length(config: SystemConfig) -> float:
@@ -92,7 +91,6 @@ def closed_form_moments(config: SystemConfig) -> MomentSet:
         second_moment_cycle=cycle_length_second_moment(config),
         mean_service=mean_service_time(config),
         average_age=average_age(config),
-        source_label="closed-form",
     )
 
 
@@ -131,7 +129,6 @@ def convolution_oracle(config: SystemConfig) -> MomentSet:
         second_moment_cycle=second,
         mean_service=service,
         average_age=second / (2.0 * mean) + service,
-        source_label="convolution-oracle",
     )
 
 
@@ -165,5 +162,4 @@ def enumeration_oracle(config: SystemConfig) -> MomentSet:
         second_moment_cycle=second,
         mean_service=service,
         average_age=second / (2.0 * mean) + service,
-        source_label="enumeration-oracle",
     )

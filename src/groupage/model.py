@@ -6,12 +6,17 @@ else. A group whose statuses are all zero is covered by a single aggregate
 update (1 time slot); otherwise the aggregate update is followed by one
 individual update per source, so source j in a flagged group is delivered
 after j+1 slots and the whole group takes k+1 slots.
+
+A configuration's independent facts are (n, p, k); SystemConfig checks them
+and derives m and the all-clear probability q = (1-p)**k once, on
+construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 __all__ = [
     "SystemConfig",
@@ -31,36 +36,41 @@ def all_clear_probability(p: float, k: int) -> float:
     return math.exp(k * math.log1p(-p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class SystemConfig:
-    """Validated (n, p, k) triple plus derived group count m and all-clear probability q."""
+    """Validated (n, p, k) triple; the group count m = n/k and all-clear probability q are derived once."""
 
     n: int
     p: float
     k: int
-    m: int
-    q: float
+    m: int = field(init=False)
+    q: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"k must lie in [1, n], got k={self.k} for n={self.n}")
-        if self.n % self.k != 0:
-            raise ValueError(f"k must divide n exactly, got n={self.n}, k={self.k}")
-        if self.m != self.n // self.k:
-            raise ValueError(f"m must equal n // k, got m={self.m}")
-        if abs(self.q - all_clear_probability(self.p, self.k)) > 1e-12:
-            raise ValueError(f"q={self.q} inconsistent with (1-p)**k")
+    def __init__(self, n: int, p: float, k: int) -> None:
+        # operator.index also turns numpy integers into Python ints, which cannot
+        # wrap in the closed forms' n*n products at large n
+        try:
+            n, k = operator.index(n), operator.index(k)
+        except TypeError:
+            raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+        if not 1 <= k <= n:
+            raise ValueError(f"k must lie in [1, n], got k={k} for n={n}")
+        if n % k != 0:
+            raise ValueError(f"k must divide n exactly, got n={n}, k={k}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", n // k)
+        object.__setattr__(self, "q", all_clear_probability(p, k))
 
 
 def validate_config(n: int, p: float, k: int) -> SystemConfig:
-    """Check (n, p, k) and build a SystemConfig with m and q filled in."""
-    if k < 1:
-        raise ValueError(f"k must lie in [1, n], got k={k} for n={n}")
-    return SystemConfig(n=n, p=p, k=k, m=n // k, q=all_clear_probability(p, k))
+    """Check (n, p, k) and build its SystemConfig."""
+    return SystemConfig(n=n, p=p, k=k)
 
 
 def divisors(n: int) -> list[int]:

@@ -34,6 +34,10 @@ __all__ = [
 # points: 1 - exp(-4/e^2), about 0.418.
 STATIONARY_P_MAX = 1.0 - math.exp(-4.0 / math.e**2)
 
+# Width of the final bisection bracket of updating_efficiency_threshold. It
+# must stay well above one ulp of p, or the bisection never stops.
+THRESHOLD_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -140,12 +144,12 @@ def _beats_round_robin(n: int, p: float, divs: list[int], baseline: float) -> bo
     return min(analytic.average_age(validate_config(n, p, k)) for k in divs) <= baseline
 
 
-def updating_efficiency_threshold(n: int, tol: float = 1e-6) -> float:
+def updating_efficiency_threshold(n: int) -> float:
     """Largest p for which grouped updating can still match round-robin age, by bisection.
 
     The efficiency condition min_k age(n, p, k) <= n/2 + 1 holds at p -> 0 and
     fails at p = 1; it is treated as monotone in p, with both bracket
-    endpoints verified before bisecting.
+    endpoints verified before bisecting, down to a bracket of THRESHOLD_TOL.
     """
     if n < 2:
         raise ValueError(f"threshold requires n >= 2, got {n}")
@@ -156,7 +160,7 @@ def updating_efficiency_threshold(n: int, tol: float = 1e-6) -> float:
         raise RuntimeError("efficiency condition unexpectedly fails at p=0")
     if _beats_round_robin(n, hi, divs, baseline):
         return hi
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if _beats_round_robin(n, mid, divs, baseline):
             lo = mid

@@ -15,11 +15,12 @@ over the summed interval lengths.
 All k sources of a group are generated when the group's window opens, so they
 share its intervals Y, and source j's service time is S = 1 + j*F with F the
 group's flag (some source positive). A cycle's whole state is therefore its m
-group flags, and every per-source sum is affine in j: sum(Y*S) = sum(Y) +
-j*sum(Y*F). One accumulator folds the flags, chunk by chunk in cycle order,
-into exact integer per-group sums and the two per-interval pooled series of
-the standard error. The full-trace and streaming estimates both run through
-it, so they are identical to the last bit.
+group flags, a trace is its (N, m) flags, and every per-source sum is affine
+in j: sum(Y*S) = sum(Y) + j*sum(Y*F). One accumulator folds the flags, chunk
+by chunk in cycle order, into exact integer per-group sums and the two
+per-interval pooled series of the standard error. The full-trace and
+streaming estimates both run through it, so they are identical to the last
+bit. The only per-source array is the (cycles, m, k) uniform draw of a chunk.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "empirical_average_age",
     "empirical_moments",
     "simulate_age",
-    "cross_term_check",
 ]
 
 from .analytic import MomentSet
@@ -53,22 +53,18 @@ CHUNK_DRAWS = 2**18
 class CycleTrace:
     """One simulated realization, stored as its per-cycle group flags.
 
-    flags (N, m) is True where a group has at least one positive source.
-    Everything else is derived on access: group_times (N, m), cycle_lengths
-    and mean_service_times (N,), and the per-source service_times and
-    delivery_offsets (N, m, k). Offsets are measured from the start of their
-    own cycle; the delivery offset of source (i, j) is the sum of the group
-    times before group i plus the source's service time.
+    flags (N, m) is True where a group has at least one positive source; group
+    i then takes k+1 slots in that cycle, otherwise 1. num_cycles,
+    cycle_lengths and mean_service_times (N,) are derived from the flags on
+    access.
     """
 
     config: SystemConfig
-    seed: int
-    num_cycles: int
     flags: np.ndarray
 
     @property
-    def group_times(self) -> np.ndarray:
-        return np.where(self.flags, self.config.k + 1, 1)
+    def num_cycles(self) -> int:
+        return len(self.flags)
 
     @property
     def cycle_lengths(self) -> np.ndarray:
@@ -80,16 +76,6 @@ class CycleTrace:
         n, k = self.config.n, self.config.k
         return (n + self.flags.sum(axis=1, dtype=np.int64) * (k * (k + 1) // 2)) / n
 
-    @property
-    def service_times(self) -> np.ndarray:
-        return 1 + self.flags[:, :, None] * np.arange(1, self.config.k + 1, dtype=np.int64)
-
-    @property
-    def delivery_offsets(self) -> np.ndarray:
-        group_times = self.group_times
-        starts = np.cumsum(group_times, axis=1) - group_times
-        return starts[:, :, None] + self.service_times
-
 
 @dataclass(frozen=True)
 class AgeSummary:
@@ -98,16 +84,14 @@ class AgeSummary:
     per_source_age: np.ndarray  # (m, k)
     overall_age: float
     standard_error: float
-    num_cycles: int
-    seed: int
 
 
 def _cycles_per_chunk(config: SystemConfig) -> int:
     return max(1, CHUNK_DRAWS // config.n)
 
 
-def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int, chunk_cycles: int) -> Iterator[np.ndarray]:
-    """Group flags of num_cycles seeded cycles, (cycles, m) per chunk of up to chunk_cycles cycles.
+def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[np.ndarray]:
+    """Group flags of num_cycles seeded cycles, (cycles, m) per chunk of up to _cycles_per_chunk cycles.
 
     A chunk draws (cycles, m, k) uniforms and flags a group when any of its k
     draws is below p, so the stream consumed does not depend on the chunking.
@@ -116,6 +100,7 @@ def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int, chunk_cycles:
     """
     rng = np.random.default_rng(seed)
     m, k = config.m, config.k
+    chunk_cycles = _cycles_per_chunk(config)
     for start in range(0, num_cycles, chunk_cycles):
         cycles = min(chunk_cycles, num_cycles - start)
         positive = np.flatnonzero(rng.random((cycles, m, k)) < config.p)
@@ -128,11 +113,11 @@ def simulate_cycles(config: SystemConfig, num_cycles: int, seed: int) -> CycleTr
     """Simulate num_cycles i.i.d. update cycles, deterministically for a given seed."""
     if num_cycles < 1:
         raise ValueError(f"num_cycles must be >= 1, got {num_cycles}")
-    flags = np.concatenate(list(_flag_chunks(config, seed, num_cycles, _cycles_per_chunk(config))))
-    return CycleTrace(config=config, seed=seed, num_cycles=num_cycles, flags=flags)
+    flags = np.concatenate(list(_flag_chunks(config, seed, num_cycles)))
+    return CycleTrace(config=config, flags=flags)
 
 
-def _estimate(config: SystemConfig, seed: int, num_cycles: int, flag_chunks: Iterable[np.ndarray]) -> AgeSummary:
+def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray]) -> AgeSummary:
     """Renewal-reward age estimate from a run's group flags, fed in cycle order.
 
     Over the N-1 complete intervals it keeps per-group sums of Y, Y^2 and Y*F
@@ -173,8 +158,6 @@ def _estimate(config: SystemConfig, seed: int, num_cycles: int, flag_chunks: Ite
         standard_error=_pooled_standard_error(
             np.concatenate(pooled_intervals), np.concatenate(pooled_double_areas), config.n
         ),
-        num_cycles=num_cycles,
-        seed=seed,
     )
 
 
@@ -210,26 +193,20 @@ def empirical_average_age(trace: CycleTrace) -> AgeSummary:
         raise ValueError("age estimation requires at least 2 cycles")
     chunk = _cycles_per_chunk(trace.config)
     flag_chunks = (trace.flags[start : start + chunk] for start in range(0, trace.num_cycles, chunk))
-    return _estimate(trace.config, trace.seed, trace.num_cycles, flag_chunks)
+    return _estimate(trace.config, flag_chunks)
 
 
-def simulate_age(
-    config: SystemConfig, num_cycles: int, seed: int, chunk_cycles: int | None = None
-) -> AgeSummary:
+def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary:
     """simulate_cycles + empirical_average_age without keeping the trace.
 
-    Draws and folds cycles in chunks of max(1, CHUNK_DRAWS // n) cycles, or
-    chunk_cycles if given, so memory is one chunk plus O(num_cycles) for the
-    two pooled per-interval series. Consumes the random stream identically to
-    simulate_cycles, and produces bit-identical estimates for any chunking.
+    Draws and folds cycles in chunks of max(1, CHUNK_DRAWS // n) cycles, so
+    memory is one chunk plus O(num_cycles) for the two pooled per-interval
+    series. Consumes the random stream identically to simulate_cycles, and
+    its estimates do not depend on the chunk size, to the last bit.
     """
     if num_cycles < 2:
         raise ValueError("age estimation requires at least 2 cycles")
-    if chunk_cycles is None:
-        chunk_cycles = _cycles_per_chunk(config)
-    elif chunk_cycles < 1:
-        raise ValueError(f"chunk_cycles must be >= 1, got {chunk_cycles}")
-    return _estimate(config, seed, num_cycles, _flag_chunks(config, seed, num_cycles, chunk_cycles))
+    return _estimate(config, _flag_chunks(config, seed, num_cycles))
 
 
 def empirical_moments(trace: CycleTrace) -> MomentSet:
@@ -246,31 +223,4 @@ def empirical_moments(trace: CycleTrace) -> MomentSet:
         second_moment_cycle=second,
         mean_service=service,
         average_age=second / (2.0 * mean) + service,
-        source_label="simulation",
     )
-
-
-def cross_term_check(trace: CycleTrace) -> float:
-    """Largest per-source |correlation| between a renewal interval and its closing service time.
-
-    The interval ending at a given update draws on earlier group outcomes than
-    that update's own service time, so the correlation should vanish; values
-    near zero back the factorization E[Y*S] = E[Y]*E[S] used by the closed
-    forms. Sources with zero variance report correlation 0. Stable estimates
-    need on the order of 1e3 cycles or more.
-    """
-    if trace.num_cycles < 2:
-        raise ValueError("correlation check requires at least 2 cycles")
-    cycle_starts = np.zeros(trace.num_cycles, dtype=np.int64)
-    np.cumsum(trace.cycle_lengths[:-1], out=cycle_starts[1:])
-    service_times = trace.service_times
-    generation = cycle_starts[:, None, None] + (trace.delivery_offsets - service_times)
-    count = trace.num_cycles - 1
-    intervals = np.diff(generation, axis=0).reshape(count, -1).astype(np.float64)
-    services = service_times[1:].reshape(count, -1).astype(np.float64)
-    intervals -= intervals.mean(axis=0)
-    services -= services.mean(axis=0)
-    covariance = (intervals * services).sum(axis=0)
-    scale = np.sqrt((intervals * intervals).sum(axis=0) * (services * services).sum(axis=0))
-    correlation = np.divide(covariance, scale, out=np.zeros_like(covariance), where=scale > 0)
-    return float(np.abs(correlation).max())

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: the expanded age
 formula catches transcription errors in the composed form, the bisection
 solver checks the Lambert W iteration against nothing but monotonicity of
-x * exp(x), and the per-source sampler and estimator redo the simulator's
-work source by source, with no use of the per-group shortcuts.
+x * exp(x), and the per-source sampler, timeline views, estimator and
+cross-term correlation redo the simulator's work source by source on
+(N, m, k) arrays, with no use of the per-group shortcuts.
 """
 
 from __future__ import annotations
@@ -104,7 +105,27 @@ def reference_service_times(config, num_cycles: int, seed: int) -> np.ndarray:
     return service
 
 
-def per_source_age_estimate(service_times: np.ndarray, delivery_offsets: np.ndarray) -> tuple[np.ndarray, float, float]:
+def group_times(service_times: np.ndarray) -> np.ndarray:
+    """(N, m) slots each group takes per cycle: the last source of a group closes its window."""
+    return service_times[:, :, -1]
+
+
+def delivery_offsets(service_times: np.ndarray) -> np.ndarray:
+    """(N, m, k) delivery instants from their cycle's start: the group times before group i plus the service time."""
+    times = group_times(service_times)
+    starts = np.cumsum(times, axis=1) - times
+    return starts[:, :, None] + service_times
+
+
+def generation_instants(service_times: np.ndarray) -> np.ndarray:
+    """(N, m, k) generation instants of every source's updates on the absolute time axis."""
+    cycle_lengths = group_times(service_times).sum(axis=1)
+    cycle_starts = np.zeros(len(service_times), dtype=np.int64)
+    np.cumsum(cycle_lengths[:-1], out=cycle_starts[1:])
+    return cycle_starts[:, None, None] + (delivery_offsets(service_times) - service_times)
+
+
+def per_source_age_estimate(service_times: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Per-source renewal-reward age estimate over full (N, m, k) arrays: (per-source ages, overall age, SE).
 
     Each source's generation instants are rebuilt on the absolute time axis;
@@ -113,13 +134,9 @@ def per_source_age_estimate(service_times: np.ndarray, delivery_offsets: np.ndar
     delta method on the per-interval sums pooled over all sources, with the
     lag-1 autocovariance of consecutive intervals. All sums are exact int64.
     """
-    count, m, k = service_times.shape
+    _, m, k = service_times.shape
     n = m * k
-    cycle_lengths = service_times[:, :, -1].sum(axis=1)  # the last source of a group closes its window
-    cycle_starts = np.zeros(count, dtype=np.int64)
-    np.cumsum(cycle_lengths[:-1], out=cycle_starts[1:])
-    generation = cycle_starts[:, None, None] + (delivery_offsets - service_times)
-    intervals = np.diff(generation, axis=0)  # (N-1, m, k)
+    intervals = np.diff(generation_instants(service_times), axis=0)  # (N-1, m, k)
     interval_sq = intervals * intervals
     interval_service = intervals * service_times[1:]
     per_source = (0.5 * interval_sq.sum(axis=0) + interval_service.sum(axis=0)) / intervals.sum(axis=0)
@@ -134,3 +151,20 @@ def per_source_age_estimate(service_times: np.ndarray, delivery_offsets: np.ndar
     variance = max(gamma0 + 2.0 * gamma1, 0.0) / intervals_count
     mean_interval = total_intervals / (n * intervals_count)
     return per_source, float(per_source.mean()), math.sqrt(variance) / mean_interval
+
+
+def per_source_cross_term(service_times: np.ndarray) -> float:
+    """Largest per-source |correlation| between a renewal interval and the service time of the update closing it.
+
+    Computed source by source over full (N, m, k) arrays; a source whose
+    intervals or service times have zero variance reports correlation 0.
+    """
+    count = len(service_times) - 1
+    intervals = np.diff(generation_instants(service_times), axis=0).reshape(count, -1).astype(np.float64)
+    services = service_times[1:].reshape(count, -1).astype(np.float64)
+    intervals -= intervals.mean(axis=0)
+    services -= services.mean(axis=0)
+    covariance = (intervals * services).sum(axis=0)
+    scale = np.sqrt((intervals * intervals).sum(axis=0) * (services * services).sum(axis=0))
+    correlation = np.divide(covariance, scale, out=np.zeros_like(covariance), where=scale > 0)
+    return float(np.abs(correlation).max())

@@ -132,7 +132,6 @@ def test_convolution_oracle_hand_computed_case():
     oracle = convolution_oracle(validate_config(4, 0.5, 2))
     assert oracle.mean_cycle == pytest.approx(5.0, rel=1e-12)
     assert oracle.second_moment_cycle == pytest.approx(26.5, rel=1e-12)
-    assert oracle.source_label == "convolution-oracle"
 
 
 def test_convolution_oracle_deterministic_at_p_one():

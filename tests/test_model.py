@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from groupage.model import SystemConfig, all_clear_probability, divisors, validate_config
+from groupage.model import all_clear_probability, divisors, validate_config
 
 from oracles import brute_force_divisors, group_outcome, sample_statuses, source_service_time
 
@@ -15,6 +15,11 @@ def test_validate_config_fills_derived_fields():
     assert cfg.q == pytest.approx(0.9**4, rel=1e-12)
 
     cfg = validate_config(48, 0.05, 6)
+    assert cfg.m == 8
+    assert cfg.q == pytest.approx(0.95**6, rel=1e-12)
+
+    cfg = validate_config(np.int64(48), 0.05, np.int64(6))
+    assert (type(cfg.n), type(cfg.k), type(cfg.m)) == (int, int, int)
     assert cfg.m == 8
     assert cfg.q == pytest.approx(0.95**6, rel=1e-12)
 
@@ -37,18 +42,13 @@ def test_validate_config_rejects_non_divisor():
         (120, 0.1, 0),
         (120, 0.1, 121),
         (0, 0.1, 1),
+        (120.0, 0.1, 4),
+        (120, 0.1, 4.0),
     ],
 )
 def test_validate_config_rejects_out_of_range(n, p, k):
     with pytest.raises(ValueError):
         validate_config(n, p, k)
-
-
-def test_direct_construction_rejects_inconsistent_fields():
-    with pytest.raises(ValueError):
-        SystemConfig(n=4, p=0.5, k=2, m=3, q=0.25)
-    with pytest.raises(ValueError):
-        SystemConfig(n=4, p=0.5, k=2, m=2, q=0.5)
 
 
 def test_all_clear_probability_small_p_precision():

@@ -1,20 +1,24 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupage import sim
 from groupage.analytic import average_age
 from groupage.model import divisors, validate_config
-from groupage.sim import (
-    cross_term_check,
-    empirical_average_age,
-    empirical_moments,
-    simulate_age,
-    simulate_cycles,
-)
+from groupage.sim import empirical_average_age, empirical_moments, simulate_age, simulate_cycles
 
-from oracles import group_outcome, per_source_age_estimate, reference_service_times, sample_statuses
+from oracles import (
+    delivery_offsets,
+    group_outcome,
+    group_times,
+    per_source_age_estimate,
+    per_source_cross_term,
+    reference_service_times,
+    sample_statuses,
+)
 
 
 @st.composite
@@ -27,13 +31,43 @@ def small_runs(draw):
     return validate_config(n, p, k), num_cycles, seed
 
 
+def simulate_age_in_chunks(cfg, num_cycles, seed, chunk):
+    """simulate_age with chunks of `chunk` cycles, or the default chunking for None."""
+    if chunk is None:
+        return simulate_age(cfg, num_cycles, seed)
+    with mock.patch.object(sim, "CHUNK_DRAWS", chunk * cfg.n):
+        return simulate_age(cfg, num_cycles, seed)
+
+
+def group_cross_term(trace) -> float:
+    """Largest per-group |correlation| between a group's renewal interval and the flag of the update closing it.
+
+    The interval ending at an update draws on earlier group outcomes than that
+    update's own service time, so the correlation should vanish; values near
+    zero back the factorization E[Y*S] = E[Y]*E[S] used by the closed forms.
+    All k sources of a group share its intervals Y, and source j's service
+    time is 1 + j*F, so corr(Y, 1 + j*F) = corr(Y, F) is every source's
+    correlation in that group. Groups with zero variance report 0.
+    """
+    times = np.where(trace.flags, trace.config.k + 1, 1)
+    ends = np.cumsum(times, axis=1)
+    starts = ends - times
+    # from a group's generation instant in one cycle to its instant in the next
+    intervals = (ends[:-1, -1:] - starts[:-1] + starts[1:]).astype(np.float64)
+    flags = trace.flags[1:].astype(np.float64)
+    intervals -= intervals.mean(axis=0)
+    flags -= flags.mean(axis=0)
+    covariance = (intervals * flags).sum(axis=0)
+    scale = np.sqrt((intervals * intervals).sum(axis=0) * (flags * flags).sum(axis=0))
+    correlation = np.divide(covariance, scale, out=np.zeros_like(covariance), where=scale > 0)
+    return float(np.abs(correlation).max())
+
+
 def test_simulate_cycles_is_deterministic_per_seed():
     cfg = validate_config(24, 0.3, 4)
     a = simulate_cycles(cfg, 500, seed=11)
     b = simulate_cycles(cfg, 500, seed=11)
-    assert np.array_equal(a.group_times, b.group_times)
-    assert np.array_equal(a.delivery_offsets, b.delivery_offsets)
-    assert np.array_equal(a.service_times, b.service_times)
+    assert np.array_equal(a.flags, b.flags)
     assert np.array_equal(a.cycle_lengths, b.cycle_lengths)
     sa = empirical_average_age(a)
     sb = empirical_average_age(b)
@@ -51,9 +85,11 @@ def test_simulate_cycles_rejects_empty_run():
 def test_all_clear_run_structure_and_exact_age():
     cfg = validate_config(12, 0.0, 3)  # m = 4
     trace = simulate_cycles(cfg, 50, seed=5)
+    assert not trace.flags.any()
     assert (trace.cycle_lengths == cfg.m).all()
+    offsets = delivery_offsets(reference_service_times(cfg, 50, seed=5))
     for i in range(cfg.m):
-        assert (trace.delivery_offsets[:, i, :] == i + 1).all()
+        assert (offsets[:, i, :] == i + 1).all()
     summary = empirical_average_age(trace)
     assert summary.overall_age == cfg.m / 2 + 1
     assert summary.standard_error == 0.0
@@ -64,10 +100,12 @@ def test_all_positive_run_structure_and_exact_age():
     cfg = validate_config(12, 1.0, 3)  # m = 4, k = 3
     m, k = cfg.m, cfg.k
     trace = simulate_cycles(cfg, 50, seed=5)
+    assert trace.flags.all()
     assert (trace.cycle_lengths == m * (k + 1)).all()
+    offsets = delivery_offsets(reference_service_times(cfg, 50, seed=5))
     for i in range(m):
         for j0 in range(k):
-            assert (trace.delivery_offsets[:, i, j0] == i * (k + 1) + j0 + 2).all()
+            assert (offsets[:, i, j0] == i * (k + 1) + j0 + 2).all()
     summary = empirical_average_age(trace)
     for j0 in range(k):
         assert (summary.per_source_age[:, j0] == m * (k + 1) / 2 + (j0 + 2)).all()
@@ -82,7 +120,6 @@ def test_mean_cycle_length_converges_to_closed_form():
     assert abs(moments.mean_cycle - 5.0) < 0.01  # about 6 standard errors
     assert abs(moments.second_moment_cycle - 26.5) / 26.5 < 0.01
     assert abs(moments.mean_service - 2.125) / 2.125 < 0.01
-    assert moments.source_label == "simulation"
 
 
 def test_empirical_moments_degenerate_and_single_cycle():
@@ -96,7 +133,7 @@ def test_empirical_moments_degenerate_and_single_cycle():
     y = int(trace.cycle_lengths[0])
     assert moments.mean_cycle == y
     assert moments.second_moment_cycle == y * y
-    assert moments.mean_service == trace.service_times.sum() / cfg.n
+    assert moments.mean_service == reference_service_times(cfg, 1, seed=9).sum() / cfg.n
 
 
 def test_age_estimate_close_to_closed_form():
@@ -123,16 +160,21 @@ def test_trace_invariants(run):
     cfg, num_cycles, seed = run
     trace = simulate_cycles(cfg, num_cycles, seed)
     m, k = cfg.m, cfg.k
-    assert np.array_equal(trace.cycle_lengths, trace.group_times.sum(axis=1))
-    assert set(np.unique(trace.group_times)) <= {1, k + 1}
+    service = reference_service_times(cfg, num_cycles, seed)
+    times = group_times(service)
+    assert trace.num_cycles == num_cycles
+    assert np.array_equal(np.where(trace.flags, k + 1, 1), times)
+    assert np.array_equal(trace.cycle_lengths, times.sum(axis=1))
+    assert np.array_equal(trace.mean_service_times, service.sum(axis=(1, 2)) / cfg.n)
+    assert set(np.unique(times)) <= {1, k + 1}
     j_index = np.arange(1, k + 1)
-    expected_service = np.where(trace.group_times[:, :, None] == 1, 1, j_index + 1)
-    assert np.array_equal(trace.service_times, expected_service)
-    starts = np.cumsum(trace.group_times, axis=1) - trace.group_times
-    assert np.array_equal(trace.delivery_offsets, starts[:, :, None] + trace.service_times)
+    expected_service = np.where(times[:, :, None] == 1, 1, j_index + 1)
+    assert np.array_equal(service, expected_service)
+    starts = np.cumsum(times, axis=1) - times
+    offsets = delivery_offsets(service)
     # group i's last delivery never passes group i+1's generation instant
     for i in range(m - 1):
-        assert (trace.delivery_offsets[:, i, -1] <= starts[:, i + 1]).all()
+        assert (offsets[:, i, -1] <= starts[:, i + 1]).all()
 
 
 @settings(deadline=None, max_examples=40)
@@ -140,11 +182,12 @@ def test_trace_invariants(run):
 def test_renewal_consistency(run):
     cfg, num_cycles, seed = run
     trace = simulate_cycles(cfg, num_cycles, seed)
+    service = reference_service_times(cfg, num_cycles, seed)
     cycle_starts = np.concatenate([[0], np.cumsum(trace.cycle_lengths)[:-1]])
-    deliveries = cycle_starts[:, None, None] + trace.delivery_offsets
+    deliveries = cycle_starts[:, None, None] + delivery_offsets(service)
     spans = np.diff(deliveries, axis=0)
     assert np.array_equal(spans.sum(axis=0), deliveries[-1] - deliveries[0])
-    generations = deliveries - trace.service_times
+    generations = deliveries - service
     intervals = np.diff(generations, axis=0)
     assert np.array_equal(intervals.sum(axis=0), generations[-1] - generations[0])
     assert (intervals > 0).all()
@@ -154,11 +197,10 @@ def test_renewal_consistency(run):
 def test_streaming_mode_matches_full_trace_exactly(chunk):
     cfg = validate_config(24, 0.3, 4)
     full = empirical_average_age(simulate_cycles(cfg, 400, seed=21))
-    streamed = simulate_age(cfg, 400, seed=21, chunk_cycles=chunk)
+    streamed = simulate_age_in_chunks(cfg, 400, 21, chunk)
     assert np.array_equal(full.per_source_age, streamed.per_source_age)
     assert full.overall_age == streamed.overall_age
     assert full.standard_error == streamed.standard_error
-    assert (full.num_cycles, full.seed) == (streamed.num_cycles, streamed.seed)
 
 
 @st.composite
@@ -175,11 +217,9 @@ def reference_runs(draw):
 @given(reference_runs())
 def test_estimates_equal_per_source_reference_exactly(run):
     cfg, num_cycles, seed = run
-    trace = simulate_cycles(cfg, num_cycles, seed)
-    assert np.array_equal(trace.service_times, reference_service_times(cfg, num_cycles, seed))
-    per_source, overall, se = per_source_age_estimate(trace.service_times, trace.delivery_offsets)
-    summaries = [empirical_average_age(trace)]
-    summaries += [simulate_age(cfg, num_cycles, seed, chunk_cycles=chunk) for chunk in (1, 3, 97, None)]
+    per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed))
+    summaries = [empirical_average_age(simulate_cycles(cfg, num_cycles, seed))]
+    summaries += [simulate_age_in_chunks(cfg, num_cycles, seed, chunk) for chunk in (1, 3, 97, None)]
     for summary in summaries:
         assert np.array_equal(summary.per_source_age, per_source)
         assert summary.overall_age == overall
@@ -205,21 +245,25 @@ def test_simulate_cycles_agrees_with_model_sampling_ops():
         statuses = sample_statuses(cfg, rng)
         for i in range(cfg.m):
             outcome = group_outcome(statuses[i], expected_len=cfg.k)
-            assert trace.group_times[cycle, i] == outcome.group_service_time
+            assert trace.flags[cycle, i] == outcome.has_positive
 
 
 def test_cross_term_correlation_vanishes():
-    assert cross_term_check(simulate_cycles(validate_config(12, 0.0, 3), 100, seed=0)) == 0.0
-    assert cross_term_check(simulate_cycles(validate_config(12, 1.0, 3), 100, seed=0)) == 0.0
-    big = cross_term_check(simulate_cycles(validate_config(120, 0.1, 4), 100_000, seed=2))
+    assert group_cross_term(simulate_cycles(validate_config(12, 0.0, 3), 100, seed=0)) == 0.0
+    assert group_cross_term(simulate_cycles(validate_config(12, 1.0, 3), 100, seed=0)) == 0.0
+    big = group_cross_term(simulate_cycles(validate_config(120, 0.1, 4), 100_000, seed=2))
     assert big < 0.01
-    small = cross_term_check(simulate_cycles(validate_config(4, 0.5, 2), 100_000, seed=2))
+    small = group_cross_term(simulate_cycles(validate_config(4, 0.5, 2), 100_000, seed=2))
     assert small < 0.02
 
 
-def test_cross_term_requires_two_cycles():
-    with pytest.raises(ValueError):
-        cross_term_check(simulate_cycles(validate_config(4, 0.5, 2), 1, seed=0))
+@settings(deadline=None, max_examples=40)
+@given(small_runs())
+def test_group_cross_term_equals_per_source_reference(run):
+    cfg, num_cycles, seed = run
+    per_group = group_cross_term(simulate_cycles(cfg, num_cycles, seed))
+    per_source = per_source_cross_term(reference_service_times(cfg, num_cycles, seed))
+    assert per_group == pytest.approx(per_source, rel=0, abs=1e-12)
 
 
 def test_estimator_error_halves_with_quadrupled_cycles():
