@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig
+from .model import SystemConfig, all_clear_probability
 
 __all__ = [
     "MomentSet",
@@ -45,19 +45,50 @@ class MomentSet:
     average_age: float
 
 
-def expected_cycle_length(config: SystemConfig) -> float:
-    """E[Y] = n/k + n(1 - q): aggregate updates plus expected individual follow-ups."""
-    return config.n / config.k + config.n * (1.0 - config.q)
+# The closed forms, written once over plain scalars (n, k, q). The divisor
+# searches call them per k without building a SystemConfig, so the caller has
+# already checked the inputs: n a Python int (a numpy integer would wrap in
+# n*n), k a divisor of n and q = all_clear_probability(p, k) for p in [0, 1].
 
 
-def cycle_length_second_moment(config: SystemConfig) -> float:
-    """E[Y^2] = n(n-k)q^2 + n^2(k+1)^2/k^2 - n(2n(k+1) - k^2)q/k."""
-    n, k, q = config.n, config.k, config.q
+def _mean_cycle(n: int, k: int, q: float) -> float:
+    return n / k + n * (1.0 - q)
+
+
+def _cycle_second_moment(n: int, k: int, q: float) -> float:
     return (
         n * (n - k) * q * q
         + (n * n * (k + 1) * (k + 1)) / (k * k)
         - n * (2 * n * (k + 1) - k * k) * q / k
     )
+
+
+def _mean_service(k: int, q: float) -> float:
+    return 1.0 + (k + 1) * (1.0 - q) / 2.0
+
+
+def _age(n: int, k: int, q: float) -> float:
+    return _cycle_second_moment(n, k, q) / (2.0 * _mean_cycle(n, k, q)) + _mean_service(k, q)
+
+
+def _ages(n: int, p: float, ks: list[int]) -> list[float]:
+    """Average age at each group size in ks, for a validated (n, p) and divisors ks of n."""
+    return [_age(n, k, all_clear_probability(p, k)) for k in ks]
+
+
+def _mean_cycles(n: int, p: float, ks: list[int]) -> list[float]:
+    """E[Y] at each group size in ks, for a validated (n, p) and divisors ks of n."""
+    return [_mean_cycle(n, k, all_clear_probability(p, k)) for k in ks]
+
+
+def expected_cycle_length(config: SystemConfig) -> float:
+    """E[Y] = n/k + n(1 - q): aggregate updates plus expected individual follow-ups."""
+    return _mean_cycle(config.n, config.k, config.q)
+
+
+def cycle_length_second_moment(config: SystemConfig) -> float:
+    """E[Y^2] = n(n-k)q^2 + n^2(k+1)^2/k^2 - n(2n(k+1) - k^2)q/k."""
+    return _cycle_second_moment(config.n, config.k, config.q)
 
 
 def expected_source_service(config: SystemConfig, j: int) -> float:
@@ -69,12 +100,12 @@ def expected_source_service(config: SystemConfig, j: int) -> float:
 
 def mean_service_time(config: SystemConfig) -> float:
     """E[S] = 1 + (k+1)(1 - q)/2, the mean of E[S_j] over j = 1..k."""
-    return 1.0 + (config.k + 1) * (1.0 - config.q) / 2.0
+    return _mean_service(config.k, config.q)
 
 
 def average_age(config: SystemConfig) -> float:
     """Time-average age of information, E[Y^2]/(2 E[Y]) + E[S]."""
-    return cycle_length_second_moment(config) / (2.0 * expected_cycle_length(config)) + mean_service_time(config)
+    return _age(config.n, config.k, config.q)
 
 
 def round_robin_age(n: int) -> float:

@@ -26,6 +26,27 @@ __all__ = [
 ]
 
 
+def _checked_n(n: int) -> int:
+    """n as a Python int; ValueError unless it is a positive integer.
+
+    operator.index rejects floats and turns numpy integers into Python ints,
+    which cannot wrap in the closed forms' n*n products at large n.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be a positive integer, got n={n!r}") from None
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    return n
+
+
+def _check_p(p: float) -> None:
+    """ValueError unless p lies in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+
+
 def all_clear_probability(p: float, k: int) -> float:
     """Probability (1-p)**k that a group of k sources reports all zeros."""
     if p <= 0.0:
@@ -47,16 +68,12 @@ class SystemConfig:
     q: float = field(init=False)
 
     def __init__(self, n: int, p: float, k: int) -> None:
-        # operator.index also turns numpy integers into Python ints, which cannot
-        # wrap in the closed forms' n*n products at large n
+        n = _checked_n(n)
+        _check_p(p)
         try:
-            n, k = operator.index(n), operator.index(k)
+            k = operator.index(k)
         except TypeError:
-            raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
-        if n < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
+            raise ValueError(f"k must be an integer, got k={k!r}") from None
         if not 1 <= k <= n:
             raise ValueError(f"k must lie in [1, n], got k={k} for n={n}")
         if n % k != 0:
@@ -75,8 +92,7 @@ def validate_config(n: int, p: float, k: int) -> SystemConfig:
 
 def divisors(n: int) -> list[int]:
     """All divisors of n in increasing order, including 1 and n."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _checked_n(n)
     small: list[int] = []
     large: list[int] = []
     for d in range(1, math.isqrt(n) + 1):

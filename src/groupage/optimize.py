@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import analytic
 from .lambertw import BRANCH_POINT, lambert_w0, lambert_wm1
-from .model import divisors, validate_config
+from .model import _check_p, _checked_n, divisors
 
 __all__ = [
     "STATIONARY_P_MAX",
@@ -94,18 +95,35 @@ def _neighbor_divisors(alpha: float, divs: list[int]) -> tuple[int, int]:
     return below, above
 
 
-def _argmin_over(n: int, p: float, ks: list[int], objective, metric: str) -> OptimizationResult:
-    evaluated = [(k, objective(validate_config(n, p, k))) for k in sorted(set(ks))]
-    best_k, best_value = evaluated[0]
-    for k, value in evaluated[1:]:
-        if value < best_value:
-            best_k, best_value = k, value
+def _argmin_over(ks: list[int], values: list[float], metric: str) -> OptimizationResult:
+    # tuple() of a list allocates the exact size; of a zip it resizes, and over
+    # 80 000 searches CPython's tuple free lists then held about 2 MB more
+    evaluated = list(zip(ks, values))
+    # min keeps the first of equal values, and ks ascend: ties go to the smallest k
+    best_k, best_value = min(evaluated, key=itemgetter(1))
     return OptimizationResult(
         optimal_k=best_k,
         candidates=tuple(evaluated),
         metric=metric,
         objective_at_optimum=best_value,
     )
+
+
+def _testing_search(n: int, p: float, divs: list[int]) -> OptimizationResult:
+    candidates = divs
+    if 0.0 < p < 1.0:
+        points = stationary_group_sizes(p)
+        if points.exists:
+            candidates = [1, n]
+            for alpha in (points.alpha1, points.alpha2):
+                below, above = _neighbor_divisors(alpha, divs)
+                candidates.extend((below, above))
+            candidates = sorted(set(candidates))
+    return _argmin_over(candidates, analytic._mean_cycles(n, p, candidates), "expected-updates")
+
+
+def _updating_search(n: int, p: float, divs: list[int]) -> OptimizationResult:
+    return _argmin_over(divs, analytic._ages(n, p, divs), "age")
 
 
 def optimal_group_size_testing(n: int, p: float) -> OptimizationResult:
@@ -115,33 +133,20 @@ def optimal_group_size_testing(n: int, p: float) -> OptimizationResult:
     bracketing each stationary point need checking; otherwise (p = 0, p = 1,
     or p above STATIONARY_P_MAX) every divisor is evaluated.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    divs = divisors(n)
-    candidates = divs
-    if 0.0 < p < 1.0:
-        points = stationary_group_sizes(p)
-        if points.exists:
-            candidates = [1, n]
-            for alpha in (points.alpha1, points.alpha2):
-                below, above = _neighbor_divisors(alpha, divs)
-                candidates.extend((below, above))
-    return _argmin_over(n, p, candidates, analytic.expected_cycle_length, "expected-updates")
+    n = _checked_n(n)
+    _check_p(p)
+    return _testing_search(n, p, divisors(n))
 
 
 def optimal_group_size_updating(n: int, p: float) -> OptimizationResult:
     """Group size minimizing the average age, by exhaustive search over divisors of n."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return _argmin_over(n, p, divisors(n), analytic.average_age, "age")
+    n = _checked_n(n)
+    _check_p(p)
+    return _updating_search(n, p, divisors(n))
 
 
 def _beats_round_robin(n: int, p: float, divs: list[int], baseline: float) -> bool:
-    return min(analytic.average_age(validate_config(n, p, k)) for k in divs) <= baseline
+    return min(analytic._ages(n, p, divs)) <= baseline
 
 
 def updating_efficiency_threshold(n: int) -> float:
@@ -151,6 +156,7 @@ def updating_efficiency_threshold(n: int) -> float:
     fails at p = 1; it is treated as monotone in p, with both bracket
     endpoints verified before bisecting, down to a bracket of THRESHOLD_TOL.
     """
+    n = _checked_n(n)
     if n < 2:
         raise ValueError(f"threshold requires n >= 2, got {n}")
     divs = divisors(n)
@@ -171,7 +177,10 @@ def updating_efficiency_threshold(n: int) -> float:
 
 def kstar_sweep(n: int, p_values) -> list[tuple[float, int, int]]:
     """Optimal group sizes under both metrics for each p: (p, k for age, k for expected updates)."""
-    return [
-        (p, optimal_group_size_updating(n, p).optimal_k, optimal_group_size_testing(n, p).optimal_k)
-        for p in p_values
-    ]
+    n = _checked_n(n)
+    divs = divisors(n)
+    rows = []
+    for p in p_values:
+        _check_p(p)
+        rows.append((p, _updating_search(n, p, divs).optimal_k, _testing_search(n, p, divs).optimal_k))
+    return rows

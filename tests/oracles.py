@@ -1,11 +1,12 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's own code paths: the expanded age
-formula catches transcription errors in the composed form, the bisection
-solver checks the Lambert W iteration against nothing but monotonicity of
-x * exp(x), and the per-source sampler, timeline views, estimator and
-cross-term correlation redo the simulator's work source by source on
-(N, m, k) arrays, with no use of the per-group shortcuts.
+formula catches transcription errors in the composed form, the per-config
+closed forms pin the float operation order of the library's kernel, the
+bisection solver checks the Lambert W iteration against nothing but
+monotonicity of x * exp(x), and the per-source sampler, timeline views,
+estimator and cross-term correlation redo the simulator's work source by
+source on (N, m, k) arrays, with no use of the per-group shortcuts.
 """
 
 from __future__ import annotations
@@ -24,6 +25,25 @@ def expanded_average_age(n: int, p: float, k: int) -> float:
     second = (2 * n * (k + 1) - k * k) * q / (2 + 2 * k * (1.0 - q))
     third = 1.0 + (k + 1) / 2 * (1.0 - q)
     return first - second + third
+
+
+def per_config_mean_cycle(config) -> float:
+    """E[Y] of one SystemConfig, written out apart from the library's kernel.
+
+    The float operations run in the library's order, so the optimizers'
+    per-divisor values must equal this exactly; a reordered product in the
+    kernel shows as a last-bit difference.
+    """
+    n, k, q = config.n, config.k, config.q
+    return n / k + n * (1.0 - q)
+
+
+def per_config_average_age(config) -> float:
+    """Average age of one SystemConfig, E[Y^2]/(2 E[Y]) + E[S], in the same fixed float order."""
+    n, k, q = config.n, config.k, config.q
+    second = n * (n - k) * q * q + (n * n * (k + 1) * (k + 1)) / (k * k) - n * (2 * n * (k + 1) - k * k) * q / k
+    service = 1.0 + (k + 1) * (1.0 - q) / 2.0
+    return second / (2.0 * per_config_mean_cycle(config)) + service
 
 
 def bisect_lambert(y: float, lo: float, hi: float, iterations: int = 200) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from groupage.optimize import (
     stationary_group_sizes,
     updating_efficiency_threshold,
 )
+from oracles import per_config_average_age, per_config_mean_cycle
 
 
 def test_group_testing_efficiency_threshold_examples():
@@ -127,6 +129,24 @@ def test_optimal_group_size_updating_evaluates_every_divisor():
     )
 
 
+@settings(deadline=None)
+@given(
+    st.one_of(st.integers(min_value=1, max_value=5000), st.just(720720)),
+    st.one_of(st.sampled_from([0.0, 1.0, 1e-15, 0.5]), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_optimizer_values_equal_per_config_closed_forms_exactly(n, p):
+    ages = optimal_group_size_updating(n, p)
+    assert [k for k, _ in ages.candidates] == divisors(n)
+    for k, value in ages.candidates:
+        config = validate_config(n, p, k)
+        assert value == average_age(config) == per_config_average_age(config)
+    updates = optimal_group_size_testing(n, p)
+    for k, value in updates.candidates:
+        config = validate_config(n, p, k)
+        assert value == expected_cycle_length(config) == per_config_mean_cycle(config)
+    assert kstar_sweep(n, [p]) == [(p, ages.optimal_k, updates.optimal_k)]
+
+
 def test_updating_threshold_for_n_120_lies_in_paper_bracket():
     # frozen closed-form values backing the bracket
     assert average_age(validate_config(120, 0.2, 3)) == pytest.approx(51.71231168831169, rel=1e-9)
@@ -185,3 +205,20 @@ def test_optimizer_input_validation():
         optimal_group_size_testing(10, 1.5)
     with pytest.raises(ValueError):
         optimal_group_size_updating(10, -0.2)
+    for n in (120.0, np.float64(120.0)):
+        with pytest.raises(ValueError):
+            divisors(n)
+        with pytest.raises(ValueError):
+            optimal_group_size_updating(n, 0.1)
+        with pytest.raises(ValueError):
+            optimal_group_size_testing(n, 0.1)
+        with pytest.raises(ValueError):
+            updating_efficiency_threshold(n)
+        with pytest.raises(ValueError):
+            kstar_sweep(n, [0.1])
+    # a numpy integer n must not wrap in the closed forms' n*n products
+    big = optimal_group_size_updating(10**8, 0.1)
+    assert (big.optimal_k, big.objective_at_optimum) == (4, pytest.approx(29695002.6, rel=1e-9))
+    assert optimal_group_size_updating(np.int64(10**8), 0.1).candidates == big.candidates
+    assert optimal_group_size_testing(np.int64(10**8), 0.1) == optimal_group_size_testing(10**8, 0.1)
+    assert updating_efficiency_threshold(np.int64(10**8)) == updating_efficiency_threshold(10**8)
