@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, all_clear_probability
+from .model import SystemConfig
 
 __all__ = [
     "MomentSet",
@@ -45,10 +45,10 @@ class MomentSet:
     average_age: float
 
 
-# The closed forms, written once over plain scalars (n, k, q). The divisor
-# searches call them per k without building a SystemConfig, so the caller has
-# already checked the inputs: n a Python int (a numpy integer would wrap in
-# n*n), k a divisor of n and q = all_clear_probability(p, k) for p in [0, 1].
+# The closed forms, written once over plain scalars (n, k, q) of a validated
+# SystemConfig: n a Python int (a numpy integer would wrap in n*n), k a divisor
+# of n and q its all-clear probability. The public per-config functions below
+# call them, so each formula has one home and average_age makes one pass.
 
 
 def _mean_cycle(n: int, k: int, q: float) -> float:
@@ -65,20 +65,6 @@ def _cycle_second_moment(n: int, k: int, q: float) -> float:
 
 def _mean_service(k: int, q: float) -> float:
     return 1.0 + (k + 1) * (1.0 - q) / 2.0
-
-
-def _age(n: int, k: int, q: float) -> float:
-    return _cycle_second_moment(n, k, q) / (2.0 * _mean_cycle(n, k, q)) + _mean_service(k, q)
-
-
-def _ages(n: int, p: float, ks: list[int]) -> list[float]:
-    """Average age at each group size in ks, for a validated (n, p) and divisors ks of n."""
-    return [_age(n, k, all_clear_probability(p, k)) for k in ks]
-
-
-def _mean_cycles(n: int, p: float, ks: list[int]) -> list[float]:
-    """E[Y] at each group size in ks, for a validated (n, p) and divisors ks of n."""
-    return [_mean_cycle(n, k, all_clear_probability(p, k)) for k in ks]
 
 
 def expected_cycle_length(config: SystemConfig) -> float:
@@ -105,7 +91,8 @@ def mean_service_time(config: SystemConfig) -> float:
 
 def average_age(config: SystemConfig) -> float:
     """Time-average age of information, E[Y^2]/(2 E[Y]) + E[S]."""
-    return _age(config.n, config.k, config.q)
+    n, k, q = config.n, config.k, config.q
+    return _cycle_second_moment(n, k, q) / (2.0 * _mean_cycle(n, k, q)) + _mean_service(k, q)
 
 
 def round_robin_age(n: int) -> float:

@@ -128,11 +128,11 @@ def cmd_compare_metrics(n: int, p_list: list[float], out_path: str | None) -> in
     """Rows (p, k, delta, expected_updates, is_gu_optimal, is_gt_optimal) over divisors of n."""
     rows = []
     for p in p_list:
-        ages = optimal_group_size_updating(n, p)
+        updating = optimal_group_size_updating(n, p)
         k_updates = optimal_group_size_testing(n, p).optimal_k
-        divs = [k for k, _ in ages.candidates]
-        for (k, age), updates in zip(ages.candidates, analytic._mean_cycles(n, p, divs)):
-            rows.append((p, k, age, updates, k == ages.optimal_k, k == k_updates))
+        for k, age in updating.candidates:
+            updates = analytic.expected_cycle_length(validate_config(n, p, k))
+            rows.append((p, k, age, updates, k == updating.optimal_k, k == k_updates))
     rows.sort(key=lambda row: (row[0], row[1]))
     _write_csv(
         ["p", "k", "delta", "expected_updates", "is_gu_optimal", "is_gt_optimal"],

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from . import analytic
 from .lambertw import BRANCH_POINT, lambert_w0, lambert_wm1
-from .model import _check_p, _checked_n, divisors
+from .model import _checked_n, divisors, validate_config
 
 __all__ = [
     "STATIONARY_P_MAX",
@@ -95,10 +95,9 @@ def _neighbor_divisors(alpha: float, divs: list[int]) -> tuple[int, int]:
     return below, above
 
 
-def _argmin_over(ks: list[int], values: list[float], metric: str) -> OptimizationResult:
-    # tuple() of a list allocates the exact size; of a zip it resizes, and over
-    # 80 000 searches CPython's tuple free lists then held about 2 MB more
-    evaluated = list(zip(ks, values))
+def _argmin_over(n: int, p: float, ks: list[int], objective, metric: str) -> OptimizationResult:
+    # one validated SystemConfig per candidate k; validate_config also checks p
+    evaluated = [(k, objective(validate_config(n, p, k))) for k in ks]
     # min keeps the first of equal values, and ks ascend: ties go to the smallest k
     best_k, best_value = min(evaluated, key=itemgetter(1))
     return OptimizationResult(
@@ -119,11 +118,7 @@ def _testing_search(n: int, p: float, divs: list[int]) -> OptimizationResult:
                 below, above = _neighbor_divisors(alpha, divs)
                 candidates.extend((below, above))
             candidates = sorted(set(candidates))
-    return _argmin_over(candidates, analytic._mean_cycles(n, p, candidates), "expected-updates")
-
-
-def _updating_search(n: int, p: float, divs: list[int]) -> OptimizationResult:
-    return _argmin_over(divs, analytic._ages(n, p, divs), "age")
+    return _argmin_over(n, p, candidates, analytic.expected_cycle_length, "expected-updates")
 
 
 def optimal_group_size_testing(n: int, p: float) -> OptimizationResult:
@@ -134,19 +129,17 @@ def optimal_group_size_testing(n: int, p: float) -> OptimizationResult:
     or p above STATIONARY_P_MAX) every divisor is evaluated.
     """
     n = _checked_n(n)
-    _check_p(p)
     return _testing_search(n, p, divisors(n))
 
 
 def optimal_group_size_updating(n: int, p: float) -> OptimizationResult:
     """Group size minimizing the average age, by exhaustive search over divisors of n."""
     n = _checked_n(n)
-    _check_p(p)
-    return _updating_search(n, p, divisors(n))
+    return _argmin_over(n, p, divisors(n), analytic.average_age, "age")
 
 
 def _beats_round_robin(n: int, p: float, divs: list[int], baseline: float) -> bool:
-    return min(analytic._ages(n, p, divs)) <= baseline
+    return min(analytic.average_age(validate_config(n, p, k)) for k in divs) <= baseline
 
 
 def updating_efficiency_threshold(n: int) -> float:
@@ -181,6 +174,6 @@ def kstar_sweep(n: int, p_values) -> list[tuple[float, int, int]]:
     divs = divisors(n)
     rows = []
     for p in p_values:
-        _check_p(p)
-        rows.append((p, _updating_search(n, p, divs).optimal_k, _testing_search(n, p, divs).optimal_k))
+        updating = _argmin_over(n, p, divs, analytic.average_age, "age")
+        rows.append((p, updating.optimal_k, _testing_search(n, p, divs).optimal_k))
     return rows
