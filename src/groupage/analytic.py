@@ -6,18 +6,21 @@ gives closed forms for E[Y] and E[Y^2]. The time-average age then follows the
 renewal-reward identity  age = E[Y^2] / (2 E[Y]) + E[S]  with E[S] the mean
 per-source service time.
 
-Two exact oracles cross-check the closed forms: a binomial convolution over
-the number of all-clear groups, and a full 2**n enumeration of status vectors.
+Two exact oracles cross-check the closed forms without using them: a
+binomial convolution over the number of all-clear groups, and a full 2**n
+enumeration of status vectors as integer codes. Both are whole-array numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig
+from .model import SystemConfig, _checked_n
 
 __all__ = [
     "MomentSet",
@@ -79,8 +82,8 @@ def cycle_length_second_moment(config: SystemConfig) -> float:
 
 def expected_source_service(config: SystemConfig, j: int) -> float:
     """E[S_j] = 1 + j(1 - q) for the j-th source of a group, j in 1..k."""
-    if not 1 <= j <= config.k:
-        raise ValueError(f"source index j must lie in [1, k], got j={j} for k={config.k}")
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 1 <= j <= config.k:
+        raise ValueError(f"source index j must be an integer in [1, k], got j={j!r} for k={config.k}")
     return 1.0 + j * (1.0 - config.q)
 
 
@@ -97,9 +100,7 @@ def average_age(config: SystemConfig) -> float:
 
 def round_robin_age(n: int) -> float:
     """Age of plain one-source-at-a-time updating: n/2 + 1."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return n / 2.0 + 1.0
+    return _checked_n(n) / 2.0 + 1.0
 
 
 def closed_form_moments(config: SystemConfig) -> MomentSet:
@@ -112,36 +113,27 @@ def closed_form_moments(config: SystemConfig) -> MomentSet:
     )
 
 
-def _binomial_pmf(m: int, z: int, q: float) -> float:
-    if q <= 0.0:
-        return 1.0 if z == 0 else 0.0
-    if q >= 1.0:
-        return 1.0 if z == m else 0.0
-    log_pmf = (
-        math.lgamma(m + 1)
-        - math.lgamma(z + 1)
-        - math.lgamma(m - z + 1)
-        + z * math.log(q)
-        + (m - z) * math.log1p(-q)
-    )
-    return math.exp(log_pmf)
-
-
 def convolution_oracle(config: SystemConfig) -> MomentSet:
     """Exact moments from the m-fold sum of i.i.d. group times, without the closed-form algebra.
 
     With z of the m groups all clear, the cycle lasts m(k+1) - kz slots, and z
-    is Binomial(m, q); E[Y] and E[Y^2] are the exact binomial sums.
+    is Binomial(m, q); E[Y] and E[Y^2] are the exact binomial sums over
+    z = 0..m, whose pmf comes from a table of log-factorials. Source j of a
+    group takes 1 + j slots when its group is flagged, so E[S] averages
+    1 + j(1-q) over j = 1..k.
     """
     m, k, q = config.m, config.k, config.q
-    mean = 0.0
-    second = 0.0
-    for z in range(m + 1):
-        pmf = _binomial_pmf(m, z, q)
-        y = m * (k + 1) - k * z
-        mean += pmf * y
-        second += pmf * y * y
-    service = sum(expected_source_service(config, j) for j in range(1, k + 1)) / k
+    z = np.arange(m + 1)
+    if 0.0 < q < 1.0:
+        log_factorial = np.fromiter(map(math.lgamma, range(1, m + 2)), dtype=np.float64, count=m + 1)
+        log_choose = log_factorial[m] - log_factorial - log_factorial[::-1]
+        pmf = np.exp(log_choose + z * math.log(q) + (m - z) * math.log1p(-q))
+    else:  # the exact point mass at z = 0 (q = 0) or z = m (q = 1)
+        pmf = (z == m * q).astype(np.float64)
+    cycle = (m * (k + 1) - k * z).astype(np.float64)
+    mean = float(pmf @ cycle)
+    second = float(pmf @ (cycle * cycle))
+    service = float(np.mean(1.0 + np.arange(1, k + 1) * (1.0 - q)))
     return MomentSet(
         mean_cycle=mean,
         second_moment_cycle=second,
@@ -153,28 +145,29 @@ def convolution_oracle(config: SystemConfig) -> MomentSet:
 def enumeration_oracle(config: SystemConfig) -> MomentSet:
     """Exact moments by enumerating all 2**n status vectors with their probabilities.
 
-    Brute force over the raw model semantics (per-group OR, per-source service
-    times); limited to n <= 20.
+    Brute force over the raw model semantics, on the integer codes of the
+    status vectors (bit i is source i, group g holds bits gk..gk+k-1): a
+    code with w set bits has probability p^w (1-p)^(n-w); group g is flagged
+    when any of its bits is set, which the OR of k shifted copies of the code
+    gathers on bit gk; source j of a flagged group takes 1 + j slots, of an
+    all-clear one 1. No (2**n, n) array is built. Limited to n <= 20.
     """
     n, m, k, p = config.n, config.m, config.k, config.p
     if n > ENUMERATION_MAX_SOURCES:
         raise ValueError(f"enumeration requires n <= {ENUMERATION_MAX_SOURCES}, got n={n}")
-    count = 1 << n
-    codes = np.arange(count, dtype=np.int64)
-    bits = ((codes[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.int8)
-    ones = bits.sum(axis=1, dtype=np.int64)
-    pmf = np.power(p, ones.astype(np.float64)) * np.power(1.0 - p, (n - ones).astype(np.float64))
-    positive = bits.reshape(count, m, k).any(axis=2)
-    group_times = 1 + k * positive.astype(np.int64)
-    cycle = group_times.sum(axis=1)
+    ones = np.zeros(1, dtype=np.int8)  # popcount of every code, doubled up one bit at a time
+    for _ in range(n):
+        ones = np.concatenate((ones, ones + 1))
+    positives = np.arange(n + 1, dtype=np.float64)
+    pmf = (np.power(p, positives) * np.power(1.0 - p, n - positives))[ones]
+    codes = np.arange(1 << n, dtype=np.int32)
+    group_any = functools.reduce(np.bitwise_or, (codes >> shift for shift in range(k)))
+    flagged = ones[group_any & sum(1 << (g * k) for g in range(m))].astype(np.float64)
+    cycle = m + k * flagged
     mean = float(pmf @ cycle)
     second = float(pmf @ (cycle * cycle))
-    service_total = 0.0
-    for i in range(m):
-        flagged = positive[:, i].astype(np.float64)
-        for j in range(1, k + 1):
-            service_total += float(pmf @ (1.0 + j * flagged))
-    service = service_total / n
+    # a pairwise sum keeps the service within an ulp or so; a dot product here drifts by up to 1e-14
+    service = float(np.sum(pmf * (n + flagged * (k * (k + 1) // 2)))) / n
     return MomentSet(
         mean_cycle=mean,
         second_moment_cycle=second,

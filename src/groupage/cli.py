@@ -22,7 +22,7 @@ import argparse
 import sys
 
 from . import analytic, sim
-from .model import validate_config
+from .model import SystemConfig, validate_config
 from .optimize import kstar_sweep, optimal_group_size_testing, optimal_group_size_updating
 
 __all__ = ["main"]
@@ -34,6 +34,12 @@ EXIT_STATISTICAL_MISMATCH = 3
 EXIT_IO = 4
 
 ANALYTIC_RTOL = 1e-9
+
+# Largest working set simulate and validate accept, in bytes. A full trace of
+# N cycles peaks near 2*N*m flag bytes (its chunks and their concatenation)
+# plus 64 bytes a cycle of int64 and float64 series; the convolution oracle
+# holds six float64 arrays of m + 1 values. Over it, both exit 1 up front.
+MEMORY_BUDGET_BYTES = 2**30
 
 
 class UsageError(Exception):
@@ -149,11 +155,21 @@ def cmd_kstar_vs_p(n: int, p_list: list[float], out_path: str | None) -> int:
     return EXIT_OK
 
 
+def _check_memory_budget(config: SystemConfig, num_cycles: int) -> None:
+    need = num_cycles * (2 * config.m + 64) + 48 * (config.m + 1)
+    if need > MEMORY_BUDGET_BYTES:
+        raise UsageError(
+            f"--cycles {num_cycles} with m={config.m} groups needs about {need / 2**20:.0f} MiB, "
+            f"over the {MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget; use fewer cycles or groups"
+        )
+
+
 def cmd_simulate(
     n: int, p: float, k: int, num_cycles: int, seeds: list[int], out_path: str | None
 ) -> int:
     """Per-seed simulated age and cycle moments next to their closed-form values."""
     config = validate_config(n, p, k)
+    _check_memory_budget(config, num_cycles)
     closed_age = analytic.average_age(config)
     rows = []
     for seed in sorted(seeds):
@@ -211,6 +227,7 @@ def cmd_validate(n: int, p: float, k: int, num_cycles: int, seeds: list[int]) ->
     and the closed form lies just above it.
     """
     config = validate_config(n, p, k)
+    _check_memory_budget(config, num_cycles)
     closed = analytic.closed_form_moments(config)
     analytic_ok = True
     statistical_ok = True

@@ -30,13 +30,16 @@ def _checked_n(n: int) -> int:
     """n as a Python int; ValueError unless it is a positive integer.
 
     operator.index rejects floats and turns numpy integers into Python ints,
-    which cannot wrap in the closed forms' n*n products at large n.
-    SystemConfig, divisors and the optimizers' entry points share it.
+    which cannot wrap in the closed forms' n*n products at large n. Every
+    SystemConfig runs it, so a plain int takes the one-test path.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be a positive integer, got n={n!r}") from None
+    if type(n) is not int:
+        if isinstance(n, bool):
+            raise ValueError(f"n must be a positive integer, got n={n!r}")
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"n must be a positive integer, got n={n!r}") from None
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     return n

@@ -25,6 +25,7 @@ bit. The only per-source array is the (cycles, m, k) uniform draw of a chunk.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -54,9 +55,8 @@ class CycleTrace:
     """One simulated realization, stored as its per-cycle group flags.
 
     flags (N, m) is True where a group has at least one positive source; group
-    i then takes k+1 slots in that cycle, otherwise 1. num_cycles,
-    cycle_lengths and mean_service_times (N,) are derived from the flags on
-    access.
+    i then takes k+1 slots in that cycle, otherwise 1. cycle_lengths (N,) sums
+    the flags once, on first access; mean_service_times (N,) derives from it.
     """
 
     config: SystemConfig
@@ -66,15 +66,18 @@ class CycleTrace:
     def num_cycles(self) -> int:
         return len(self.flags)
 
-    @property
+    @functools.cached_property
     def cycle_lengths(self) -> np.ndarray:
-        return self.config.m + self.config.k * self.flags.sum(axis=1, dtype=np.int64)
+        """Slots per cycle, m + k*F with F flagged groups; read-only, since every reader shares it."""
+        lengths = self.config.m + self.config.k * self.flags.sum(axis=1, dtype=np.int64)
+        lengths.flags.writeable = False
+        return lengths
 
     @property
     def mean_service_times(self) -> np.ndarray:
         """Service time averaged over the n sources, per cycle: (n + F*k(k+1)/2) / n with F flagged groups."""
-        n, k = self.config.n, self.config.k
-        return (n + self.flags.sum(axis=1, dtype=np.int64) * (k * (k + 1) // 2)) / n
+        n, m, k = self.config.n, self.config.m, self.config.k
+        return (n + (self.cycle_lengths - m) // k * (k * (k + 1) // 2)) / n
 
 
 @dataclass(frozen=True)
@@ -213,10 +216,11 @@ def empirical_moments(trace: CycleTrace) -> MomentSet:
     """Sample cycle moments and mean service time; age is the plug-in renewal ratio."""
     cycles = trace.cycle_lengths
     count = trace.num_cycles
-    n, k = trace.config.n, trace.config.k
-    mean = float(cycles.sum()) / count
+    n, m, k = trace.config.n, trace.config.m, trace.config.k
+    cycle_total = int(cycles.sum())
+    mean = float(cycle_total) / count
     second = float((cycles * cycles).sum()) / count
-    service_total = count * n + int(trace.flags.sum()) * (k * (k + 1) // 2)
+    service_total = count * n + (cycle_total - count * m) // k * (k * (k + 1) // 2)
     service = float(service_total) / (count * n)
     return MomentSet(
         mean_cycle=mean,

@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: the expanded age
 formula catches transcription errors in the composed form, the per-config
 closed forms pin the float operation order of the library's kernel, the
 bisection solver checks the Lambert W iteration against nothing but
-monotonicity of x * exp(x), and the per-source sampler, timeline views,
+monotonicity of x * exp(x), the looped binomial convolution and the
+(2**n, m, k) status enumeration are the library's exact oracles as first
+written, and the per-source sampler, timeline views,
 estimator and cross-term correlation redo the simulator's work source by
 source on (N, m, k) arrays, with no use of the per-group shortcuts.
 """
@@ -44,6 +46,57 @@ def per_config_average_age(config) -> float:
     second = n * (n - k) * q * q + (n * n * (k + 1) * (k + 1)) / (k * k) - n * (2 * n * (k + 1) - k * k) * q / k
     service = 1.0 + (k + 1) * (1.0 - q) / 2.0
     return second / (2.0 * per_config_mean_cycle(config)) + service
+
+
+def _binomial_pmf(m: int, z: int, q: float) -> float:
+    if q <= 0.0:
+        return 1.0 if z == 0 else 0.0
+    if q >= 1.0:
+        return 1.0 if z == m else 0.0
+    log_pmf = (
+        math.lgamma(m + 1)
+        - math.lgamma(z + 1)
+        - math.lgamma(m - z + 1)
+        + z * math.log(q)
+        + (m - z) * math.log1p(-q)
+    )
+    return math.exp(log_pmf)
+
+
+def looped_convolution_moments(config) -> tuple[float, float, float, float]:
+    """(E[Y], E[Y^2], E[S], age) from one Python lgamma pmf term per count z of all-clear groups."""
+    m, k, q = config.m, config.k, config.q
+    mean = 0.0
+    second = 0.0
+    for z in range(m + 1):
+        pmf = _binomial_pmf(m, z, q)
+        y = m * (k + 1) - k * z
+        mean += pmf * y
+        second += pmf * y * y
+    service = sum(1.0 + j * (1.0 - q) for j in range(1, k + 1)) / k
+    return mean, second, service, second / (2.0 * mean) + service
+
+
+def per_source_enumeration_moments(config) -> tuple[float, float, float, float]:
+    """(E[Y], E[Y^2], E[S], age) over all 2**n status vectors, held as a (2**n, n) bit array and (2**n, m, k) groups."""
+    n, m, k, p = config.n, config.m, config.k, config.p
+    count = 1 << n
+    codes = np.arange(count, dtype=np.int64)
+    bits = ((codes[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.int8)
+    ones = bits.sum(axis=1, dtype=np.int64)
+    pmf = np.power(p, ones.astype(np.float64)) * np.power(1.0 - p, (n - ones).astype(np.float64))
+    positive = bits.reshape(count, m, k).any(axis=2)
+    group_times = 1 + k * positive.astype(np.int64)
+    cycle = group_times.sum(axis=1)
+    mean = float(pmf @ cycle)
+    second = float(pmf @ (cycle * cycle))
+    service_total = 0.0
+    for i in range(m):
+        flagged = positive[:, i].astype(np.float64)
+        for j in range(1, k + 1):
+            service_total += float(pmf @ (1.0 + j * flagged))
+    service = service_total / n
+    return mean, second, service, second / (2.0 * mean) + service
 
 
 def bisect_lambert(y: float, lo: float, hi: float, iterations: int = 200) -> float:

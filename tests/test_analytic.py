@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,12 @@ from groupage.analytic import (
 )
 from groupage.model import divisors, validate_config
 
-from oracles import expanded_average_age, per_group_time_moments
+from oracles import (
+    expanded_average_age,
+    looped_convolution_moments,
+    per_group_time_moments,
+    per_source_enumeration_moments,
+)
 
 REL = 1e-9
 
@@ -62,6 +68,8 @@ def test_expected_source_service_examples():
         expected_source_service(cfg, 3)
     with pytest.raises(ValueError):
         expected_source_service(cfg, 0)
+    with pytest.raises(ValueError):
+        expected_source_service(cfg, 1.5)
 
 
 def test_mean_service_time_examples():
@@ -88,8 +96,9 @@ def test_round_robin_age_examples():
     assert round_robin_age(120) == 61.0
     assert round_robin_age(2) == 2.0
     assert round_robin_age(1200) == 601.0
-    with pytest.raises(ValueError):
-        round_robin_age(0)
+    for bad in (0, 120.0, True):
+        with pytest.raises(ValueError):
+            round_robin_age(bad)
 
 
 @given(configs())
@@ -178,3 +187,42 @@ def test_enumeration_matches_convolution(nk, p):
     assert enum.second_moment_cycle == pytest.approx(conv.second_moment_cycle, rel=REL)
     assert enum.mean_service == pytest.approx(conv.mean_service, rel=REL)
     assert enum.average_age == pytest.approx(conv.average_age, rel=REL)
+
+
+# p at the edges of the domain as well as anywhere inside it
+probabilities = st.one_of(st.sampled_from([0.0, 1.0, 1e-12]), st.floats(min_value=0.0, max_value=1.0))
+
+
+def _assert_moments_match(moments, reference, rel):
+    fields = (moments.mean_cycle, moments.second_moment_cycle, moments.mean_service, moments.average_age)
+    for value, expected in zip(fields, reference):
+        assert abs(value - expected) <= rel * abs(expected), (fields, reference)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=14).flatmap(lambda n: st.tuples(st.just(n), st.sampled_from(divisors(n)))),
+    probabilities,
+)
+def test_enumeration_matches_per_source_reference(nk, p):
+    n, k = nk
+    cfg = validate_config(n, p, k)
+    _assert_moments_match(enumeration_oracle(cfg), per_source_enumeration_moments(cfg), rel=1e-14)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=5000), st.integers(min_value=1, max_value=64), probabilities)
+def test_convolution_matches_looped_reference(m, k, p):
+    cfg = validate_config(m * k, p, k)
+    _assert_moments_match(convolution_oracle(cfg), looped_convolution_moments(cfg), rel=1e-14)
+
+
+def test_enumeration_oracle_memory_at_twenty_sources():
+    # a (2**20, 20) bit array alone would take 20 MiB as int8 and 160 MiB as int64
+    tracemalloc.start()
+    try:
+        enumeration_oracle(validate_config(20, 0.01, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

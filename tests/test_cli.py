@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import pytest
 
+from groupage import analytic, sim
 from groupage.analytic import average_age
 from groupage.cli import (
     EXIT_IO,
@@ -165,6 +167,18 @@ def test_usage_errors_exit_one():
     assert main(["simulate", "--n", "12", "--p", "0.3", "--k", "5", "--cycles", "100"]) == EXIT_USAGE
     assert main(["simulate", "--n", "12", "--p", "0.3", "--k", "3", "--cycles", "1"]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
+
+
+def test_over_budget_input_exits_one_before_simulating(capsys):
+    # the check must refuse these before any oracle or trace runs; if it did
+    # not, the patched calls would fail the test instead of allocating
+    refuse = mock.Mock(side_effect=AssertionError("ran past the memory budget check"))
+    with mock.patch.object(sim, "simulate_cycles", refuse), mock.patch.object(analytic, "convolution_oracle", refuse):
+        for command, n, cycles in [("simulate", 1, 10**12), ("validate", 1, 10**12), ("validate", 10**9, 2)]:
+            argv = [command, "--n", str(n), "--p", "0.1", "--k", "1", "--cycles", str(cycles)]
+            assert main(argv) == EXIT_USAGE
+            assert "budget" in capsys.readouterr().err
+    assert refuse.call_count == 0
 
 
 def test_unwritable_output_exits_io(tmp_path):

@@ -77,6 +77,21 @@ def test_simulate_cycles_is_deterministic_per_seed():
     assert not np.array_equal(a.cycle_lengths, c.cycle_lengths)
 
 
+@settings(deadline=None, max_examples=40)
+@given(small_runs())
+def test_trace_series_come_from_one_flag_sum(run):
+    cfg, num_cycles, seed = run
+    trace = simulate_cycles(cfg, num_cycles, seed)
+    flagged = trace.flags.sum(axis=1, dtype=np.int64)
+    lengths = trace.cycle_lengths
+    assert lengths is trace.cycle_lengths and not lengths.flags.writeable
+    assert np.array_equal(lengths, cfg.m + cfg.k * flagged)
+    per_source_total = cfg.k * (cfg.k + 1) // 2
+    assert np.array_equal(trace.mean_service_times, (cfg.n + flagged * per_source_total) / cfg.n)
+    service = float(num_cycles * cfg.n + int(flagged.sum()) * per_source_total) / (num_cycles * cfg.n)
+    assert empirical_moments(trace).mean_service == service
+
+
 def test_simulate_cycles_rejects_empty_run():
     with pytest.raises(ValueError):
         simulate_cycles(validate_config(4, 0.5, 2), 0, seed=0)
