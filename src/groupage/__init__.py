@@ -25,13 +25,6 @@ from .optimize import (
     stationary_group_sizes,
     updating_efficiency_threshold,
 )
-from .sim import (
-    AgeSummary,
-    CycleTrace,
-    empirical_average_age,
-    empirical_moments,
-    simulate_age,
-    simulate_cycles,
-)
+from .sim import AgeSummary, empirical_moments, simulate_age
 
 __version__ = "0.1.0"

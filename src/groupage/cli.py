@@ -19,7 +19,10 @@ Exit codes: 0 success, 1 usage error, 2 analytic validation mismatch,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+
+import numpy as np
 
 from . import analytic, sim
 from .model import SystemConfig, validate_config
@@ -35,10 +38,10 @@ EXIT_IO = 4
 
 ANALYTIC_RTOL = 1e-9
 
-# Largest working set simulate and validate accept, in bytes. A full trace of
-# N cycles peaks near 2*N*m flag bytes (its chunks and their concatenation)
-# plus 64 bytes a cycle of int64 and float64 series; the convolution oracle
-# holds six float64 arrays of m + 1 values. Over it, both exit 1 up front.
+# Largest working set simulate and validate accept, in bytes: 64 bytes a cycle
+# of pooled SE series (61 under tracemalloc), a chunk's 24 bytes a uniform draw
+# and 80 a group and cycle, and the convolution's six float64 arrays of m + 1
+# values. Over it, both exit 1 up front.
 MEMORY_BUDGET_BYTES = 2**30
 
 
@@ -156,11 +159,12 @@ def cmd_kstar_vs_p(n: int, p_list: list[float], out_path: str | None) -> int:
 
 
 def _check_memory_budget(config: SystemConfig, num_cycles: int) -> None:
-    need = num_cycles * (2 * config.m + 64) + 48 * (config.m + 1)
+    n, m = config.n, config.m
+    need = 64 * num_cycles + sim._cycles_per_chunk(config) * (24 * n + 80 * m) + 48 * (m + 1)
     if need > MEMORY_BUDGET_BYTES:
         raise UsageError(
-            f"--cycles {num_cycles} with m={config.m} groups needs about {need / 2**20:.0f} MiB, "
-            f"over the {MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget; use fewer cycles or groups"
+            f"--cycles {num_cycles} with n={n} sources in m={m} groups needs about {need / 2**20:.0f} MiB, "
+            f"over the {MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget; use fewer cycles, sources or groups"
         )
 
 
@@ -173,9 +177,8 @@ def cmd_simulate(
     closed_age = analytic.average_age(config)
     rows = []
     for seed in sorted(seeds):
-        trace = sim.simulate_cycles(config, num_cycles, seed)
-        summary = sim.empirical_average_age(trace)
-        moments = sim.empirical_moments(trace)
+        summary = sim.simulate_age(config, num_cycles, seed)
+        moments = sim.empirical_moments(config, summary.flag_counts)
         rows.append(
             (
                 n,
@@ -216,15 +219,27 @@ def _relative_error(value: float, reference: float) -> float:
     return abs(value - reference) / scale
 
 
+def _standard_error(values: np.ndarray, counts: np.ndarray) -> float:
+    """Standard error (ddof=1) of the mean of a series in which values[i] occurs counts[i] times."""
+    seen = counts > 0
+    values, counts = values[seen], counts[seen]
+    total = int(counts.sum())
+    deviations = values - values[0]  # so a constant series has exactly zero error
+    deviations = deviations - float(counts @ deviations) / total
+    return math.sqrt(float(counts @ (deviations * deviations)) / ((total - 1) * total))
+
+
 def cmd_validate(n: int, p: float, k: int, num_cycles: int, seeds: list[int]) -> int:
     """Check closed forms against both exact oracles and against simulation.
 
     Analytic legs must agree to relative 1e-9; each simulated quantity must
     land within 3 estimated standard errors of its closed form, for every
-    seed. A leg whose samples have zero variance has a zero bound, so it
-    passes only on exact equality: at p 0 or 1, but not at small p when no
-    group of the run was flagged, where the estimate is the all-clear value
-    and the closed form lies just above it.
+    seed. Besides the age's own SE, the SEs are of per-cycle series (L, L^2,
+    mean service) that depend only on a cycle's flagged-group count, so they
+    come from the run's flag counts. A leg whose samples have zero variance
+    has a zero bound, so it passes only on exact equality: at p 0 or 1, but
+    not at small p when no group of the run was flagged, where the estimate
+    is the all-clear value and the closed form lies just above it.
     """
     config = validate_config(n, p, k)
     _check_memory_budget(config, num_cycles)
@@ -251,15 +266,15 @@ def cmd_validate(n: int, p: float, k: int, num_cycles: int, seeds: list[int]) ->
     else:
         print(f"SKIP: enumeration-oracle (needs n <= {analytic.ENUMERATION_MAX_SOURCES}, got n={n})")
 
+    flagged = np.arange(config.m + 1, dtype=np.int64)
+    lengths = config.m + k * flagged
+    mean_services = (n + flagged * (k * (k + 1) // 2)) / n
     for seed in sorted(seeds):
-        trace = sim.simulate_cycles(config, num_cycles, seed)
-        summary = sim.empirical_average_age(trace)
-        moments = sim.empirical_moments(trace)
-        count = trace.num_cycles
-        cycles = trace.cycle_lengths
-        se_mean = float(cycles.std(ddof=1)) / count**0.5
-        se_second = float((cycles * cycles).std(ddof=1)) / count**0.5
-        se_service = float(trace.mean_service_times.std(ddof=1)) / count**0.5
+        summary = sim.simulate_age(config, num_cycles, seed)
+        moments = sim.empirical_moments(config, summary.flag_counts)
+        se_mean = _standard_error(lengths, summary.flag_counts)
+        se_second = _standard_error(lengths * lengths, summary.flag_counts)
+        se_service = _standard_error(mean_services, summary.flag_counts)
         legs = [
             ("age", summary.overall_age, closed.average_age, summary.standard_error),
             ("mean_cycle", moments.mean_cycle, closed.mean_cycle, se_mean),

@@ -69,10 +69,10 @@ class SystemConfig:
         n = _checked_n(n)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-        try:
+        if type(k) is not int:
+            if isinstance(k, bool) or not hasattr(type(k), "__index__"):
+                raise ValueError(f"k must be an integer, got k={k!r}")
             k = operator.index(k)
-        except TypeError:
-            raise ValueError(f"k must be an integer, got k={k!r}") from None
         if not 1 <= k <= n:
             raise ValueError(f"k must lie in [1, n], got k={k} for n={n}")
         if n % k != 0:

@@ -15,17 +15,17 @@ over the summed interval lengths.
 All k sources of a group are generated when the group's window opens, so they
 share its intervals Y, and source j's service time is S = 1 + j*F with F the
 group's flag (some source positive). A cycle's whole state is therefore its m
-group flags, a trace is its (N, m) flags, and every per-source sum is affine
-in j: sum(Y*S) = sum(Y) + j*sum(Y*F). One accumulator folds the flags, chunk
-by chunk in cycle order, into exact integer per-group sums and the two
-per-interval pooled series of the standard error. The full-trace and
-streaming estimates both run through it, so they are identical to the last
-bit. The only per-source array is the (cycles, m, k) uniform draw of a chunk.
+group flags, and every per-source sum is affine in j:
+sum(Y*S) = sum(Y) + j*sum(Y*F). One accumulator draws the flags chunk by
+chunk and folds them, in cycle order, into exact integer per-group sums, the
+two per-interval pooled series of the standard error, and a count of cycles
+by their number of flagged groups, from which the sample cycle moments
+follow exactly. No run keeps its flags; the only per-source array is the
+(cycles, m, k) uniform draw of a chunk.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -34,14 +34,7 @@ import numpy as np
 
 from .model import SystemConfig
 
-__all__ = [
-    "CycleTrace",
-    "AgeSummary",
-    "simulate_cycles",
-    "empirical_average_age",
-    "empirical_moments",
-    "simulate_age",
-]
+__all__ = ["AgeSummary", "empirical_moments", "simulate_age"]
 
 from .analytic import MomentSet
 
@@ -51,42 +44,17 @@ CHUNK_DRAWS = 2**18
 
 
 @dataclass(frozen=True)
-class CycleTrace:
-    """One simulated realization, stored as its per-cycle group flags.
-
-    flags (N, m) is True where a group has at least one positive source; group
-    i then takes k+1 slots in that cycle, otherwise 1. cycle_lengths (N,) sums
-    the flags once, on first access; mean_service_times (N,) derives from it.
-    """
-
-    config: SystemConfig
-    flags: np.ndarray
-
-    @property
-    def num_cycles(self) -> int:
-        return len(self.flags)
-
-    @functools.cached_property
-    def cycle_lengths(self) -> np.ndarray:
-        """Slots per cycle, m + k*F with F flagged groups; read-only, since every reader shares it."""
-        lengths = self.config.m + self.config.k * self.flags.sum(axis=1, dtype=np.int64)
-        lengths.flags.writeable = False
-        return lengths
-
-    @property
-    def mean_service_times(self) -> np.ndarray:
-        """Service time averaged over the n sources, per cycle: (n + F*k(k+1)/2) / n with F flagged groups."""
-        n, m, k = self.config.n, self.config.m, self.config.k
-        return (n + (self.cycle_lengths - m) // k * (k * (k + 1) // 2)) / n
-
-
-@dataclass(frozen=True)
 class AgeSummary:
-    """Per-source and overall time-average age estimates from one simulation run."""
+    """Per-source and overall time-average age estimates from one simulation run.
+
+    flag_counts[F] is the number of the run's cycles, the first included, in
+    which F of the m groups were flagged; such a cycle lasts m + k*F slots.
+    """
 
     per_source_age: np.ndarray  # (m, k)
     overall_age: float
     standard_error: float
+    flag_counts: np.ndarray  # (m + 1,) int64
 
 
 def _cycles_per_chunk(config: SystemConfig) -> int:
@@ -112,31 +80,27 @@ def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[n
         yield flags.reshape(cycles, m)
 
 
-def simulate_cycles(config: SystemConfig, num_cycles: int, seed: int) -> CycleTrace:
-    """Simulate num_cycles i.i.d. update cycles, deterministically for a given seed."""
-    if num_cycles < 1:
-        raise ValueError(f"num_cycles must be >= 1, got {num_cycles}")
-    flags = np.concatenate(list(_flag_chunks(config, seed, num_cycles)))
-    return CycleTrace(config=config, flags=flags)
-
-
 def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray]) -> AgeSummary:
     """Renewal-reward age estimate from a run's group flags, fed in cycle order.
 
     Over the N-1 complete intervals it keeps per-group sums of Y, Y^2 and Y*F
     and, per interval, the pooled sums over all n sources of Y and of the
     double area Y^2 + 2*Y*S = sum over groups of k*Y^2 + 2k*Y + k(k+1)*Y*F.
-    Across chunks it carries only the time from each group's last generation
-    instant to the end of that cycle.
+    It counts all N cycles by their flagged-group count. Across chunks it
+    carries only the time from each group's last generation instant to the
+    end of that cycle.
     """
     m, k = config.m, config.k
     sums = np.zeros((3, m), dtype=np.int64)  # per group: sum Y, sum Y^2, sum Y*F
+    flag_counts = np.zeros(m + 1, dtype=np.int64)
     pooled_intervals: list[np.ndarray] = []
     pooled_double_areas: list[np.ndarray] = []
     carry: np.ndarray | None = None
     for flags in flag_chunks:
         group_times = np.where(flags, k + 1, 1)
         ends = np.cumsum(group_times, axis=1)
+        counts = np.bincount((ends[:, -1] - m) // k)  # a cycle lasts m + k*F slots
+        flag_counts[: len(counts)] += counts
         intervals = ends - group_times  # start offsets within the cycle
         to_cycle_end = ends[:, -1:] - intervals
         intervals[1:] += to_cycle_end[:-1]
@@ -161,6 +125,7 @@ def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray]) -> AgeSum
         standard_error=_pooled_standard_error(
             np.concatenate(pooled_intervals), np.concatenate(pooled_double_areas), config.n
         ),
+        flag_counts=flag_counts,
     )
 
 
@@ -184,43 +149,35 @@ def _pooled_standard_error(pooled_intervals: np.ndarray, pooled_double_areas: np
     return math.sqrt(variance) / mean_interval
 
 
-def empirical_average_age(trace: CycleTrace) -> AgeSummary:
-    """Renewal-reward age estimate from a full trace (needs >= 2 cycles).
+def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary:
+    """Simulate num_cycles i.i.d. update cycles from a seed and estimate the age (needs >= 2 cycles).
 
     The N-1 complete per-source renewal intervals between generation instants
-    feed the ratio estimator, discarding the partial interval before the first
-    generation. The trace's flags are folded in the same chunks simulate_age
-    draws.
-    """
-    if trace.num_cycles < 2:
-        raise ValueError("age estimation requires at least 2 cycles")
-    chunk = _cycles_per_chunk(trace.config)
-    flag_chunks = (trace.flags[start : start + chunk] for start in range(0, trace.num_cycles, chunk))
-    return _estimate(trace.config, flag_chunks)
-
-
-def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary:
-    """simulate_cycles + empirical_average_age without keeping the trace.
-
-    Draws and folds cycles in chunks of max(1, CHUNK_DRAWS // n) cycles, so
-    memory is one chunk plus O(num_cycles) for the two pooled per-interval
-    series. Consumes the random stream identically to simulate_cycles, and
-    its estimates do not depend on the chunk size, to the last bit.
+    feed the ratio estimator; the partial interval before the first generation
+    is discarded. Cycles are drawn and folded in chunks of
+    max(1, CHUNK_DRAWS // n) cycles, so memory is one chunk plus O(num_cycles)
+    for the two pooled per-interval series. The random stream consumed and the
+    estimates, to the last bit, do not depend on the chunk size.
     """
     if num_cycles < 2:
         raise ValueError("age estimation requires at least 2 cycles")
     return _estimate(config, _flag_chunks(config, seed, num_cycles))
 
 
-def empirical_moments(trace: CycleTrace) -> MomentSet:
-    """Sample cycle moments and mean service time; age is the plug-in renewal ratio."""
-    cycles = trace.cycle_lengths
-    count = trace.num_cycles
-    n, m, k = trace.config.n, trace.config.m, trace.config.k
-    cycle_total = int(cycles.sum())
-    mean = float(cycle_total) / count
-    second = float((cycles * cycles).sum()) / count
-    service_total = count * n + (cycle_total - count * m) // k * (k * (k + 1) // 2)
+def empirical_moments(config: SystemConfig, flag_counts: np.ndarray) -> MomentSet:
+    """Sample cycle moments and mean service time of a run; age is the plug-in renewal ratio.
+
+    flag_counts is AgeSummary.flag_counts: flag_counts[F] cycles had F
+    flagged groups, so they lasted m + k*F slots, and their sources' service
+    times sum to n + F*k(k+1)/2. Every total is an exact integer.
+    """
+    n, m, k = config.n, config.m, config.k
+    flagged = np.arange(m + 1, dtype=np.int64)
+    lengths = m + k * flagged
+    count = int(flag_counts.sum())
+    mean = float(int(flag_counts @ lengths)) / count
+    second = float(int(flag_counts @ (lengths * lengths))) / count
+    service_total = count * n + int(flag_counts @ flagged) * (k * (k + 1) // 2)
     service = float(service_total) / (count * n)
     return MomentSet(
         mean_cycle=mean,

@@ -6,15 +6,20 @@ closed forms pin the float operation order of the library's kernel, the
 bisection solver checks the Lambert W iteration against nothing but
 monotonicity of x * exp(x), the looped binomial convolution and the
 (2**n, m, k) status enumeration are the library's exact oracles as first
-written, and the per-source sampler, timeline views,
-estimator and cross-term correlation redo the simulator's work source by
-source on (N, m, k) arrays, with no use of the per-group shortcuts.
+written, the full flag trace and its per-cycle moments redo the streaming
+simulator's draw and sample moments from one (N, m, k) array, the
+standard error of a counted series is computed in exact rationals, and the
+per-source sampler, timeline views, estimator and cross-term correlation
+redo the simulator's work source by source on (N, m, k) arrays, with no use
+of the per-group shortcuts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -164,6 +169,36 @@ def source_service_time(has_positive: bool, j: int) -> int:
     if j < 1:
         raise ValueError(f"source index j must be >= 1, got {j}")
     return j + 1 if has_positive else 1
+
+
+def oracle_flags(config, num_cycles: int, seed: int) -> np.ndarray:
+    """(N, m) group flags of a seeded run, from one (N, m, k) uniform draw: a group is flagged when any draw is below p."""
+    rng = np.random.default_rng(seed)
+    return (rng.random((num_cycles, config.m, config.k)) < config.p).any(axis=2)
+
+
+def per_trace_moments(config, flags: np.ndarray) -> tuple[float, float, float, float]:
+    """(mean L, mean L^2, mean service, plug-in age) of an (N, m) flag trace, from its per-cycle lengths L = m + k*F."""
+    n, m, k = config.n, config.m, config.k
+    cycles = m + k * flags.sum(axis=1, dtype=np.int64)
+    count = len(flags)
+    cycle_total = int(cycles.sum())
+    mean = float(cycle_total) / count
+    second = float((cycles * cycles).sum()) / count
+    service_total = count * n + (cycle_total - count * m) // k * (k * (k + 1) // 2)
+    service = float(service_total) / (count * n)
+    return mean, second, service, second / (2.0 * mean) + service
+
+
+def exact_standard_error(values, counts) -> float:
+    """The ddof=1 standard error of a counted series, in exact rationals, rounded once to a float."""
+    pairs = [(Fraction(float(v)), int(c)) for v, c in zip(values, counts) if c]
+    total = sum(c for _, c in pairs)
+    mean = sum(c * v for v, c in pairs) / total
+    squared = sum(c * (v - mean) ** 2 for v, c in pairs) / (total - 1) / total
+    with localcontext() as context:
+        context.prec = 60
+        return float((Decimal(squared.numerator) / Decimal(squared.denominator)).sqrt())
 
 
 def reference_service_times(config, num_cycles: int, seed: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from groupage.optimize import (
     optimal_group_size_updating,
     updating_efficiency_threshold,
 )
-from groupage.sim import empirical_average_age, simulate_cycles
+from groupage.sim import simulate_age
 
 REL = 1e-9
 
@@ -133,7 +133,7 @@ def test_criterion_08_simulation_agreement():
             target = average_age(cfg)
             within_band = 0
             for seed in range(10):
-                summary = empirical_average_age(simulate_cycles(cfg, 100_000, seed))
+                summary = simulate_age(cfg, 100_000, seed)
                 error = abs(summary.overall_age - target)
                 if error <= 3 * summary.standard_error:
                     within_band += 1
@@ -158,16 +158,16 @@ def test_criterion_10_degenerate_exactness():
             m = n // k
             cfg0 = validate_config(n, 0.0, k)
             assert average_age(cfg0) == n / (2 * k) + 1
-            trace0 = simulate_cycles(cfg0, 200, seed=0)
-            assert (trace0.cycle_lengths == m).all()
-            assert empirical_average_age(trace0).overall_age == n / (2 * k) + 1
+            summary0 = simulate_age(cfg0, 200, seed=0)
+            assert summary0.flag_counts[0] == 200  # every cycle lasts m slots
+            assert summary0.overall_age == n / (2 * k) + 1
 
             cfg1 = validate_config(n, 1.0, k)
             expected = m * (k + 1) / 2 + 1 + (k + 1) / 2
             assert average_age(cfg1) == expected
-            trace1 = simulate_cycles(cfg1, 200, seed=0)
-            assert (trace1.cycle_lengths == m * (k + 1)).all()
-            assert empirical_average_age(trace1).overall_age == expected
+            summary1 = simulate_age(cfg1, 200, seed=0)
+            assert summary1.flag_counts[m] == 200  # every cycle lasts m*(k+1) slots
+            assert summary1.overall_age == expected
 
 
 def test_criterion_11_byte_identical_csv_output(tmp_path):

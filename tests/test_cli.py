@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupage import analytic, sim
 from groupage.analytic import average_age
@@ -9,9 +12,12 @@ from groupage.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    _standard_error,
     main,
 )
 from groupage.model import divisors, validate_config
+
+from oracles import exact_standard_error
 
 
 def _read_rows(path):
@@ -170,15 +176,57 @@ def test_usage_errors_exit_one():
 
 
 def test_over_budget_input_exits_one_before_simulating(capsys):
-    # the check must refuse these before any oracle or trace runs; if it did
-    # not, the patched calls would fail the test instead of allocating
+    # the check must refuse these before any oracle or simulation runs; if it
+    # did not, the patched calls would fail the test instead of allocating
     refuse = mock.Mock(side_effect=AssertionError("ran past the memory budget check"))
-    with mock.patch.object(sim, "simulate_cycles", refuse), mock.patch.object(analytic, "convolution_oracle", refuse):
-        for command, n, cycles in [("simulate", 1, 10**12), ("validate", 1, 10**12), ("validate", 10**9, 2)]:
-            argv = [command, "--n", str(n), "--p", "0.1", "--k", "1", "--cycles", str(cycles)]
+    with mock.patch.object(sim, "simulate_age", refuse), mock.patch.object(analytic, "convolution_oracle", refuse):
+        for command, n, k, cycles in [
+            ("simulate", 1, 1, 10**12),  # the standard error's per-cycle series
+            ("validate", 1, 1, 10**12),
+            ("validate", 10**9, 1, 2),  # the convolution's m + 1 values
+            ("simulate", 4 * 10**8, 40_000, 2),  # one chunk's draw of n uniforms
+            ("validate", 4 * 10**8, 40_000, 2),
+        ]:
+            argv = [command, "--n", str(n), "--p", "0.1", "--k", str(k), "--cycles", str(cycles)]
             assert main(argv) == EXIT_USAGE
             assert "budget" in capsys.readouterr().err
     assert refuse.call_count == 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 1000)), min_size=1, max_size=30),
+    st.integers(1, 1000),
+)
+def test_standard_error_of_counted_series_matches_repeated_series(pairs, scale):
+    values = np.array([v for v, _ in pairs], dtype=np.float64) / scale
+    counts = np.array([c for _, c in pairs], dtype=np.int64)
+    total = int(counts.sum())
+    if total < 2:
+        return
+    se = _standard_error(values, counts)
+    if len(np.unique(values[counts > 0])) == 1:
+        assert se == 0.0  # a constant series has exactly zero error
+    else:
+        reference = float(np.std(np.repeat(values, counts), ddof=1)) / math.sqrt(total)
+        assert se == pytest.approx(reference, rel=1e-14, abs=0)
+        assert se == pytest.approx(exact_standard_error(values, counts), rel=1e-14, abs=0)
+
+
+def test_standard_error_prints_like_the_exact_value_at_a_rounding_tie():
+    # validate prints 3se with 3 significant digits. Here the exact SE of the
+    # cycle lengths is 1/1600, so 3se = 0.001875 is a decimal tie: its nearest
+    # float prints 0.00187, and the per-cycle np.std the CLI once used, two
+    # ulps high, printed 0.00188
+    cfg = validate_config(125, 7.618497938283732e-07, 5)
+    counts = sim.simulate_age(cfg, 8000, seed=370156266).flag_counts
+    assert counts[0] == 7999 and counts[1] == 1
+    lengths = cfg.m + cfg.k * np.arange(cfg.m + 1, dtype=np.int64)
+    se = _standard_error(lengths, counts)
+    exact = exact_standard_error(lengths, counts)
+    assert exact == float(Fraction(1, 1600))
+    assert abs(se - exact) <= math.ulp(exact)
+    assert f"{3.0 * se:.3g}" == f"{3.0 * exact:.3g}" == "0.00187"
 
 
 def test_unwritable_output_exits_io(tmp_path):

@@ -44,6 +44,7 @@ def test_validate_config_rejects_non_divisor():
         (0, 0.1, 1),
         (120.0, 0.1, 4),
         (120, 0.1, 4.0),
+        (4, 0.5, True),
     ],
 )
 def test_validate_config_rejects_out_of_range(n, p, k):

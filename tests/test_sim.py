@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 from groupage import sim
 from groupage.analytic import average_age
 from groupage.model import divisors, validate_config
-from groupage.sim import empirical_average_age, empirical_moments, simulate_age, simulate_cycles
+from groupage.sim import empirical_moments, simulate_age
 
 from oracles import (
     delivery_offsets,
     group_outcome,
     group_times,
+    oracle_flags,
     per_source_age_estimate,
     per_source_cross_term,
+    per_trace_moments,
     reference_service_times,
     sample_statuses,
 )
@@ -39,7 +41,12 @@ def simulate_age_in_chunks(cfg, num_cycles, seed, chunk):
         return simulate_age(cfg, num_cycles, seed)
 
 
-def group_cross_term(trace) -> float:
+def flag_counts_of(cfg, flags) -> np.ndarray:
+    """Cycles counted by their number of flagged groups, from an (N, m) flag trace."""
+    return np.bincount(flags.sum(axis=1), minlength=cfg.m + 1)
+
+
+def group_cross_term(k, flags) -> float:
     """Largest per-group |correlation| between a group's renewal interval and the flag of the update closing it.
 
     The interval ending at an update draws on earlier group outcomes than that
@@ -49,12 +56,12 @@ def group_cross_term(trace) -> float:
     time is 1 + j*F, so corr(Y, 1 + j*F) = corr(Y, F) is every source's
     correlation in that group. Groups with zero variance report 0.
     """
-    times = np.where(trace.flags, trace.config.k + 1, 1)
+    times = np.where(flags, k + 1, 1)
     ends = np.cumsum(times, axis=1)
     starts = ends - times
     # from a group's generation instant in one cycle to its instant in the next
     intervals = (ends[:-1, -1:] - starts[:-1] + starts[1:]).astype(np.float64)
-    flags = trace.flags[1:].astype(np.float64)
+    flags = flags[1:].astype(np.float64)
     intervals -= intervals.mean(axis=0)
     flags -= flags.mean(axis=0)
     covariance = (intervals * flags).sum(axis=0)
@@ -63,49 +70,38 @@ def group_cross_term(trace) -> float:
     return float(np.abs(correlation).max())
 
 
-def test_simulate_cycles_is_deterministic_per_seed():
+def test_simulate_age_is_deterministic_per_seed():
     cfg = validate_config(24, 0.3, 4)
-    a = simulate_cycles(cfg, 500, seed=11)
-    b = simulate_cycles(cfg, 500, seed=11)
-    assert np.array_equal(a.flags, b.flags)
-    assert np.array_equal(a.cycle_lengths, b.cycle_lengths)
-    sa = empirical_average_age(a)
-    sb = empirical_average_age(b)
-    assert sa.overall_age == sb.overall_age
-    assert sa.standard_error == sb.standard_error
-    c = simulate_cycles(cfg, 500, seed=12)
-    assert not np.array_equal(a.cycle_lengths, c.cycle_lengths)
+    a = simulate_age(cfg, 500, seed=11)
+    b = simulate_age(cfg, 500, seed=11)
+    assert np.array_equal(a.flag_counts, b.flag_counts)
+    assert np.array_equal(a.per_source_age, b.per_source_age)
+    assert a.overall_age == b.overall_age
+    assert a.standard_error == b.standard_error
+    c = simulate_age(cfg, 500, seed=12)
+    assert not np.array_equal(a.flag_counts, c.flag_counts)
 
 
 @settings(deadline=None, max_examples=40)
 @given(small_runs())
-def test_trace_series_come_from_one_flag_sum(run):
+def test_flag_counts_and_moments_match_oracle_trace(run):
     cfg, num_cycles, seed = run
-    trace = simulate_cycles(cfg, num_cycles, seed)
-    flagged = trace.flags.sum(axis=1, dtype=np.int64)
-    lengths = trace.cycle_lengths
-    assert lengths is trace.cycle_lengths and not lengths.flags.writeable
-    assert np.array_equal(lengths, cfg.m + cfg.k * flagged)
-    per_source_total = cfg.k * (cfg.k + 1) // 2
-    assert np.array_equal(trace.mean_service_times, (cfg.n + flagged * per_source_total) / cfg.n)
-    service = float(num_cycles * cfg.n + int(flagged.sum()) * per_source_total) / (num_cycles * cfg.n)
-    assert empirical_moments(trace).mean_service == service
-
-
-def test_simulate_cycles_rejects_empty_run():
-    with pytest.raises(ValueError):
-        simulate_cycles(validate_config(4, 0.5, 2), 0, seed=0)
+    flags = oracle_flags(cfg, num_cycles, seed)
+    summary = simulate_age(cfg, num_cycles, seed)
+    assert summary.flag_counts.dtype == np.int64
+    assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
+    moments = empirical_moments(cfg, summary.flag_counts)
+    fields = (moments.mean_cycle, moments.second_moment_cycle, moments.mean_service, moments.average_age)
+    assert fields == per_trace_moments(cfg, flags)
 
 
 def test_all_clear_run_structure_and_exact_age():
     cfg = validate_config(12, 0.0, 3)  # m = 4
-    trace = simulate_cycles(cfg, 50, seed=5)
-    assert not trace.flags.any()
-    assert (trace.cycle_lengths == cfg.m).all()
+    summary = simulate_age(cfg, 50, seed=5)
+    assert summary.flag_counts[0] == 50 and summary.flag_counts.sum() == 50
     offsets = delivery_offsets(reference_service_times(cfg, 50, seed=5))
     for i in range(cfg.m):
         assert (offsets[:, i, :] == i + 1).all()
-    summary = empirical_average_age(trace)
     assert summary.overall_age == cfg.m / 2 + 1
     assert summary.standard_error == 0.0
     assert (summary.per_source_age == cfg.m / 2 + 1).all()
@@ -114,14 +110,12 @@ def test_all_clear_run_structure_and_exact_age():
 def test_all_positive_run_structure_and_exact_age():
     cfg = validate_config(12, 1.0, 3)  # m = 4, k = 3
     m, k = cfg.m, cfg.k
-    trace = simulate_cycles(cfg, 50, seed=5)
-    assert trace.flags.all()
-    assert (trace.cycle_lengths == m * (k + 1)).all()
+    summary = simulate_age(cfg, 50, seed=5)
+    assert summary.flag_counts[m] == 50 and summary.flag_counts.sum() == 50
     offsets = delivery_offsets(reference_service_times(cfg, 50, seed=5))
     for i in range(m):
         for j0 in range(k):
             assert (offsets[:, i, j0] == i * (k + 1) + j0 + 2).all()
-    summary = empirical_average_age(trace)
     for j0 in range(k):
         assert (summary.per_source_age[:, j0] == m * (k + 1) / 2 + (j0 + 2)).all()
     assert summary.overall_age == m * (k + 1) / 2 + 1 + (k + 1) / 2
@@ -130,8 +124,7 @@ def test_all_positive_run_structure_and_exact_age():
 
 def test_mean_cycle_length_converges_to_closed_form():
     cfg = validate_config(4, 0.5, 2)
-    trace = simulate_cycles(cfg, 1_000_000, seed=3)
-    moments = empirical_moments(trace)
+    moments = empirical_moments(cfg, simulate_age(cfg, 1_000_000, seed=3).flag_counts)
     assert abs(moments.mean_cycle - 5.0) < 0.01  # about 6 standard errors
     assert abs(moments.second_moment_cycle - 26.5) / 26.5 < 0.01
     assert abs(moments.mean_service - 2.125) / 2.125 < 0.01
@@ -139,13 +132,13 @@ def test_mean_cycle_length_converges_to_closed_form():
 
 def test_empirical_moments_degenerate_and_single_cycle():
     cfg = validate_config(12, 0.0, 3)
-    moments = empirical_moments(simulate_cycles(cfg, 10, seed=0))
+    moments = empirical_moments(cfg, simulate_age(cfg, 10, seed=0).flag_counts)
     assert (moments.mean_cycle, moments.second_moment_cycle, moments.mean_service) == (4.0, 16.0, 1.0)
 
     cfg = validate_config(6, 0.5, 2)
-    trace = simulate_cycles(cfg, 1, seed=9)
-    moments = empirical_moments(trace)
-    y = int(trace.cycle_lengths[0])
+    flags = oracle_flags(cfg, 1, seed=9)
+    moments = empirical_moments(cfg, flag_counts_of(cfg, flags))
+    y = cfg.m + cfg.k * int(flags.sum())
     assert moments.mean_cycle == y
     assert moments.second_moment_cycle == y * y
     assert moments.mean_service == reference_service_times(cfg, 1, seed=9).sum() / cfg.n
@@ -153,7 +146,7 @@ def test_empirical_moments_degenerate_and_single_cycle():
 
 def test_age_estimate_close_to_closed_form():
     cfg = validate_config(120, 0.1, 4)
-    summary = empirical_average_age(simulate_cycles(cfg, 100_000, seed=1))
+    summary = simulate_age(cfg, 100_000, seed=1)
     target = average_age(cfg)
     assert abs(summary.overall_age - target) / target <= 0.01
     assert abs(summary.overall_age - target) <= 3 * summary.standard_error
@@ -162,25 +155,23 @@ def test_age_estimate_close_to_closed_form():
 
 
 def test_age_requires_two_cycles():
-    trace = simulate_cycles(validate_config(4, 0.5, 2), 1, seed=0)
-    with pytest.raises(ValueError):
-        empirical_average_age(trace)
-    with pytest.raises(ValueError):
-        simulate_age(validate_config(4, 0.5, 2), 1, seed=0)
+    for num_cycles in (0, 1):
+        with pytest.raises(ValueError):
+            simulate_age(validate_config(4, 0.5, 2), num_cycles, seed=0)
 
 
 @settings(deadline=None, max_examples=40)
 @given(small_runs())
 def test_trace_invariants(run):
     cfg, num_cycles, seed = run
-    trace = simulate_cycles(cfg, num_cycles, seed)
     m, k = cfg.m, cfg.k
     service = reference_service_times(cfg, num_cycles, seed)
     times = group_times(service)
-    assert trace.num_cycles == num_cycles
-    assert np.array_equal(np.where(trace.flags, k + 1, 1), times)
-    assert np.array_equal(trace.cycle_lengths, times.sum(axis=1))
-    assert np.array_equal(trace.mean_service_times, service.sum(axis=(1, 2)) / cfg.n)
+    flags = oracle_flags(cfg, num_cycles, seed)
+    assert np.array_equal(np.where(flags, k + 1, 1), times)
+    summary = simulate_age(cfg, num_cycles, seed)
+    assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, times > 1))
+    assert empirical_moments(cfg, summary.flag_counts).mean_service == float(int(service.sum())) / service.size
     assert set(np.unique(times)) <= {1, k + 1}
     j_index = np.arange(1, k + 1)
     expected_service = np.where(times[:, :, None] == 1, 1, j_index + 1)
@@ -196,9 +187,8 @@ def test_trace_invariants(run):
 @given(small_runs())
 def test_renewal_consistency(run):
     cfg, num_cycles, seed = run
-    trace = simulate_cycles(cfg, num_cycles, seed)
     service = reference_service_times(cfg, num_cycles, seed)
-    cycle_starts = np.concatenate([[0], np.cumsum(trace.cycle_lengths)[:-1]])
+    cycle_starts = np.concatenate([[0], np.cumsum(group_times(service).sum(axis=1))[:-1]])
     deliveries = cycle_starts[:, None, None] + delivery_offsets(service)
     spans = np.diff(deliveries, axis=0)
     assert np.array_equal(spans.sum(axis=0), deliveries[-1] - deliveries[0])
@@ -211,11 +201,12 @@ def test_renewal_consistency(run):
 @pytest.mark.parametrize("chunk", [1, 3, 97, 10_000])
 def test_streaming_mode_matches_full_trace_exactly(chunk):
     cfg = validate_config(24, 0.3, 4)
-    full = empirical_average_age(simulate_cycles(cfg, 400, seed=21))
+    per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, 400, seed=21))
     streamed = simulate_age_in_chunks(cfg, 400, 21, chunk)
-    assert np.array_equal(full.per_source_age, streamed.per_source_age)
-    assert full.overall_age == streamed.overall_age
-    assert full.standard_error == streamed.standard_error
+    assert np.array_equal(per_source, streamed.per_source_age)
+    assert overall == streamed.overall_age
+    assert se == streamed.standard_error
+    assert np.array_equal(streamed.flag_counts, flag_counts_of(cfg, oracle_flags(cfg, 400, seed=21)))
 
 
 @st.composite
@@ -233,12 +224,12 @@ def reference_runs(draw):
 def test_estimates_equal_per_source_reference_exactly(run):
     cfg, num_cycles, seed = run
     per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed))
-    summaries = [empirical_average_age(simulate_cycles(cfg, num_cycles, seed))]
-    summaries += [simulate_age_in_chunks(cfg, num_cycles, seed, chunk) for chunk in (1, 3, 97, None)]
+    summaries = [simulate_age_in_chunks(cfg, num_cycles, seed, chunk) for chunk in (1, 3, 97, None)]
     for summary in summaries:
         assert np.array_equal(summary.per_source_age, per_source)
         assert summary.overall_age == overall
         assert summary.standard_error == se
+        assert np.array_equal(summary.flag_counts, summaries[0].flag_counts)
 
 
 def test_streaming_peak_memory_is_one_chunk():
@@ -252,23 +243,23 @@ def test_streaming_peak_memory_is_one_chunk():
     assert peak < 64 * 2**20
 
 
-def test_simulate_cycles_agrees_with_model_sampling_ops():
+def test_simulate_age_agrees_with_model_sampling_ops():
     cfg = validate_config(12, 0.4, 3)
-    trace = simulate_cycles(cfg, 5, seed=77)
     rng = np.random.default_rng(77)
+    flags = np.zeros((5, cfg.m), dtype=bool)
     for cycle in range(5):
         statuses = sample_statuses(cfg, rng)
         for i in range(cfg.m):
-            outcome = group_outcome(statuses[i], expected_len=cfg.k)
-            assert trace.flags[cycle, i] == outcome.has_positive
+            flags[cycle, i] = group_outcome(statuses[i], expected_len=cfg.k).has_positive
+    assert np.array_equal(simulate_age(cfg, 5, seed=77).flag_counts, flag_counts_of(cfg, flags))
 
 
 def test_cross_term_correlation_vanishes():
-    assert group_cross_term(simulate_cycles(validate_config(12, 0.0, 3), 100, seed=0)) == 0.0
-    assert group_cross_term(simulate_cycles(validate_config(12, 1.0, 3), 100, seed=0)) == 0.0
-    big = group_cross_term(simulate_cycles(validate_config(120, 0.1, 4), 100_000, seed=2))
+    assert group_cross_term(3, oracle_flags(validate_config(12, 0.0, 3), 100, seed=0)) == 0.0
+    assert group_cross_term(3, oracle_flags(validate_config(12, 1.0, 3), 100, seed=0)) == 0.0
+    big = group_cross_term(4, oracle_flags(validate_config(120, 0.1, 4), 100_000, seed=2))
     assert big < 0.01
-    small = group_cross_term(simulate_cycles(validate_config(4, 0.5, 2), 100_000, seed=2))
+    small = group_cross_term(2, oracle_flags(validate_config(4, 0.5, 2), 100_000, seed=2))
     assert small < 0.02
 
 
@@ -276,7 +267,7 @@ def test_cross_term_correlation_vanishes():
 @given(small_runs())
 def test_group_cross_term_equals_per_source_reference(run):
     cfg, num_cycles, seed = run
-    per_group = group_cross_term(simulate_cycles(cfg, num_cycles, seed))
+    per_group = group_cross_term(cfg.k, oracle_flags(cfg, num_cycles, seed))
     per_source = per_source_cross_term(reference_service_times(cfg, num_cycles, seed))
     assert per_group == pytest.approx(per_source, rel=0, abs=1e-12)
 
@@ -286,8 +277,8 @@ def test_estimator_error_halves_with_quadrupled_cycles():
     target = average_age(cfg)
     errors_small, errors_large = [], []
     for seed in range(10):
-        small = empirical_average_age(simulate_cycles(cfg, 2_000, seed=seed))
-        large = empirical_average_age(simulate_cycles(cfg, 8_000, seed=1000 + seed))
+        small = simulate_age(cfg, 2_000, seed=seed)
+        large = simulate_age(cfg, 8_000, seed=1000 + seed)
         errors_small.append(abs(small.overall_age - target))
         errors_large.append(abs(large.overall_age - target))
     assert np.median(errors_large) <= np.median(errors_small)
