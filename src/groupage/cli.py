@@ -1,13 +1,5 @@
 """Command-line experiment harness emitting CSV curves and validation reports.
 
-Subcommands:
-  age-vs-k        age per divisor group size, with the round-robin baseline
-  age-vs-n        best achievable age as the population grows
-  compare-metrics age and expected updates side by side per group size
-  kstar-vs-p      optimal group sizes under both metrics across p
-  simulate        Monte Carlo age estimates per seed, next to the closed form
-  validate        closed forms vs exact oracles vs simulation, with exit code
-
 CSV output goes to --out or standard output. Reals are rendered with 12
 significant digits; rows are sorted by their key columns, so a command's
 output is byte-identical across runs (given the same seeds).
@@ -87,7 +79,19 @@ def _parse_seeds(text: str) -> list[int]:
         raise UsageError(f"invalid seed list {text!r}") from exc
     if not seeds:
         raise UsageError("seed list must not be empty")
+    if min(seeds) < 0:
+        raise UsageError(f"invalid seed list {text!r}: seeds must be non-negative")
     return seeds
+
+
+def _parse_cycles(text: str) -> int:
+    cycles = int(text)
+    if cycles < 2:
+        raise UsageError("--cycles must be >= 2")
+    return cycles
+
+
+_parse_cycles.__name__ = "int"  # argparse's message for a non-integer reads "invalid int value"
 
 
 def _fmt(value) -> str:
@@ -109,7 +113,7 @@ def _write_csv(header: list[str], rows: list[tuple], out_path: str | None) -> No
             handle.write(text)
 
 
-def cmd_age_vs_k(n: int, p_list: list[float], out_path: str | None) -> int:
+def cmd_age_vs_k(n: int, p_list: list[float], out: str | None) -> int:
     """Rows (p, k, delta_group_updating, delta_round_robin, is_optimal) over divisors of n."""
     baseline = analytic.round_robin_age(n)
     rows = []
@@ -117,23 +121,23 @@ def cmd_age_vs_k(n: int, p_list: list[float], out_path: str | None) -> int:
         result = optimal_group_size_updating(n, p)
         rows.extend((p, k, age, baseline, k == result.optimal_k) for k, age in result.candidates)
     rows.sort(key=lambda row: (row[0], row[1]))
-    _write_csv(["p", "k", "delta_group_updating", "delta_round_robin", "is_optimal"], rows, out_path)
+    _write_csv(["p", "k", "delta_group_updating", "delta_round_robin", "is_optimal"], rows, out)
     return EXIT_OK
 
 
-def cmd_age_vs_n(n_values: list[int], p_list: list[float], out_path: str | None) -> int:
+def cmd_age_vs_n(n_range: list[int], p_list: list[float], out: str | None) -> int:
     """Rows (p, n, k_star, delta_at_kstar, delta_round_robin); the optimizer runs per point."""
     rows = []
     for p in p_list:
-        for n in n_values:
+        for n in n_range:
             result = optimal_group_size_updating(n, p)
             rows.append((p, n, result.optimal_k, result.objective_at_optimum, analytic.round_robin_age(n)))
     rows.sort(key=lambda row: (row[0], row[1]))
-    _write_csv(["p", "n", "k_star", "delta_at_kstar", "delta_round_robin"], rows, out_path)
+    _write_csv(["p", "n", "k_star", "delta_at_kstar", "delta_round_robin"], rows, out)
     return EXIT_OK
 
 
-def cmd_compare_metrics(n: int, p_list: list[float], out_path: str | None) -> int:
+def cmd_compare_metrics(n: int, p_list: list[float], out: str | None) -> int:
     """Rows (p, k, delta, expected_updates, is_gu_optimal, is_gt_optimal) over divisors of n."""
     rows = []
     for p in p_list:
@@ -146,15 +150,15 @@ def cmd_compare_metrics(n: int, p_list: list[float], out_path: str | None) -> in
     _write_csv(
         ["p", "k", "delta", "expected_updates", "is_gu_optimal", "is_gt_optimal"],
         rows,
-        out_path,
+        out,
     )
     return EXIT_OK
 
 
-def cmd_kstar_vs_p(n: int, p_list: list[float], out_path: str | None) -> int:
+def cmd_kstar_vs_p(n: int, p_list: list[float], out: str | None) -> int:
     """Rows (p, k_gu_star, k_gt_star) from the sweep over both optimizers."""
     rows = [tuple(entry) for entry in kstar_sweep(n, sorted(p_list))]
-    _write_csv(["p", "k_gu_star", "k_gt_star"], rows, out_path)
+    _write_csv(["p", "k_gu_star", "k_gt_star"], rows, out)
     return EXIT_OK
 
 
@@ -168,23 +172,21 @@ def _check_memory_budget(config: SystemConfig, num_cycles: int) -> None:
         )
 
 
-def cmd_simulate(
-    n: int, p: float, k: int, num_cycles: int, seeds: list[int], out_path: str | None
-) -> int:
+def cmd_simulate(n: int, p: float, k: int, cycles: int, seeds: list[int], out: str | None) -> int:
     """Per-seed simulated age and cycle moments next to their closed-form values."""
     config = validate_config(n, p, k)
-    _check_memory_budget(config, num_cycles)
+    _check_memory_budget(config, cycles)
     closed_age = analytic.average_age(config)
     rows = []
     for seed in sorted(seeds):
-        summary = sim.simulate_age(config, num_cycles, seed)
+        summary = sim.simulate_age(config, cycles, seed)
         moments = sim.empirical_moments(config, summary.flag_counts)
         rows.append(
             (
                 n,
                 p,
                 k,
-                num_cycles,
+                cycles,
                 seed,
                 summary.overall_age,
                 summary.standard_error,
@@ -209,7 +211,7 @@ def cmd_simulate(
             "mean_service",
         ],
         rows,
-        out_path,
+        out,
     )
     return EXIT_OK
 
@@ -229,7 +231,7 @@ def _standard_error(values: np.ndarray, counts: np.ndarray) -> float:
     return math.sqrt(float(counts @ (deviations * deviations)) / ((total - 1) * total))
 
 
-def cmd_validate(n: int, p: float, k: int, num_cycles: int, seeds: list[int]) -> int:
+def cmd_validate(n: int, p: float, k: int, cycles: int, seeds: list[int]) -> int:
     """Check closed forms against both exact oracles and against simulation.
 
     Analytic legs must agree to relative 1e-9; each simulated quantity must
@@ -242,7 +244,7 @@ def cmd_validate(n: int, p: float, k: int, num_cycles: int, seeds: list[int]) ->
     is the all-clear value and the closed form lies just above it.
     """
     config = validate_config(n, p, k)
-    _check_memory_budget(config, num_cycles)
+    _check_memory_budget(config, cycles)
     closed = analytic.closed_form_moments(config)
     analytic_ok = True
     statistical_ok = True
@@ -270,7 +272,7 @@ def cmd_validate(n: int, p: float, k: int, num_cycles: int, seeds: list[int]) ->
     lengths = config.m + k * flagged
     mean_services = (n + flagged * (k * (k + 1) // 2)) / n
     for seed in sorted(seeds):
-        summary = sim.simulate_age(config, num_cycles, seed)
+        summary = sim.simulate_age(config, cycles, seed)
         moments = sim.empirical_moments(config, summary.flag_counts)
         se_mean = _standard_error(lengths, summary.flag_counts)
         se_second = _standard_error(lengths * lengths, summary.flag_counts)
@@ -295,72 +297,51 @@ def cmd_validate(n: int, p: float, k: int, num_cycles: int, seeds: list[int]) ->
     return EXIT_OK
 
 
+# Flag specs shared by several subcommands: (flag, add_argument keywords).
+_N = ("--n", {"type": int, "required": True})
+_P_LIST = ("--p-list", {"type": _parse_p_list, "required": True, "help": "comma-separated probabilities"})
+_OUT = ("--out", {"default": None})
+_SIMULATION = (
+    _N,
+    ("--p", {"type": float, "required": True}),
+    ("--k", {"type": int, "required": True}),
+    ("--cycles", {"type": _parse_cycles, "default": 100_000}),
+    ("--seeds", {"type": _parse_seeds, "default": "0"}),
+)
+_N_RANGE = ("--n-range", {"type": _parse_n_range, "required": True, "help": "start:stop:step (stop inclusive)"})
+
+# Each subcommand: its handler, its help line and its flags, whose dests are
+# the handler's keyword arguments.
+_COMMANDS = {
+    "age-vs-k": (cmd_age_vs_k, "age per divisor group size, with the round-robin baseline", (_N, _P_LIST, _OUT)),
+    "age-vs-n": (cmd_age_vs_n, "best achievable age as the population grows", (_N_RANGE, _P_LIST, _OUT)),
+    "compare-metrics": (cmd_compare_metrics, "age and expected updates per group size", (_N, _P_LIST, _OUT)),
+    "kstar-vs-p": (cmd_kstar_vs_p, "optimal group sizes under both metrics across p", (_N, _P_LIST, _OUT)),
+    "simulate": (cmd_simulate, "Monte Carlo age estimates per seed, next to the closed form", (*_SIMULATION, _OUT)),
+    "validate": (cmd_validate, "closed forms vs exact oracles vs simulation, with exit code", _SIMULATION),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="groupage", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    avk = sub.add_parser("age-vs-k", help="age per group size against the round-robin baseline")
-    avk.add_argument("--n", type=int, required=True)
-    avk.add_argument("--p-list", type=str, required=True, help="comma-separated probabilities")
-    avk.add_argument("--out", type=str, default=None)
-
-    avn = sub.add_parser("age-vs-n", help="optimized age across population sizes")
-    avn.add_argument("--n-range", type=str, required=True, help="start:stop:step (stop inclusive)")
-    avn.add_argument("--p-list", type=str, required=True)
-    avn.add_argument("--out", type=str, default=None)
-
-    cmp_ = sub.add_parser("compare-metrics", help="age vs expected updates per group size")
-    cmp_.add_argument("--n", type=int, required=True)
-    cmp_.add_argument("--p-list", type=str, required=True)
-    cmp_.add_argument("--out", type=str, default=None)
-
-    ksp = sub.add_parser("kstar-vs-p", help="optimal group sizes under both metrics across p")
-    ksp.add_argument("--n", type=int, required=True)
-    ksp.add_argument("--p-list", type=str, required=True)
-    ksp.add_argument("--out", type=str, default=None)
-
-    simp = sub.add_parser("simulate", help="Monte Carlo age estimates per seed")
-    simp.add_argument("--n", type=int, required=True)
-    simp.add_argument("--p", type=float, required=True)
-    simp.add_argument("--k", type=int, required=True)
-    simp.add_argument("--cycles", type=int, default=100_000)
-    simp.add_argument("--seeds", type=str, default="0")
-    simp.add_argument("--out", type=str, default=None)
-
-    val = sub.add_parser("validate", help="closed forms vs oracles vs simulation")
-    val.add_argument("--n", type=int, required=True)
-    val.add_argument("--p", type=float, required=True)
-    val.add_argument("--k", type=int, required=True)
-    val.add_argument("--cycles", type=int, default=100_000)
-    val.add_argument("--seeds", type=str, default="0")
+    for name, (handler, help_line, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        command.set_defaults(handler=handler)
+        for flag, spec in flags:
+            command.add_argument(flag, **spec)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "age-vs-k":
-            return cmd_age_vs_k(args.n, _parse_p_list(args.p_list), args.out)
-        if args.command == "age-vs-n":
-            return cmd_age_vs_n(_parse_n_range(args.n_range), _parse_p_list(args.p_list), args.out)
-        if args.command == "compare-metrics":
-            return cmd_compare_metrics(args.n, _parse_p_list(args.p_list), args.out)
-        if args.command == "kstar-vs-p":
-            return cmd_kstar_vs_p(args.n, _parse_p_list(args.p_list), args.out)
-        if args.command == "simulate":
-            if args.cycles < 2:
-                raise UsageError("--cycles must be >= 2")
-            return cmd_simulate(args.n, args.p, args.k, args.cycles, _parse_seeds(args.seeds), args.out)
-        if args.command == "validate":
-            if args.cycles < 2:
-                raise UsageError("--cycles must be >= 2")
-            return cmd_validate(args.n, args.p, args.k, args.cycles, _parse_seeds(args.seeds))
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        args = vars(_PARSER.parse_args(argv))
+        del args["command"]
+        return args.pop("handler")(**args)
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

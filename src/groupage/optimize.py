@@ -46,7 +46,6 @@ class OptimizationResult:
 
     optimal_k: int
     candidates: tuple[tuple[int, float], ...]
-    metric: str  # "age" or "expected-updates"
     objective_at_optimum: float
 
 
@@ -95,7 +94,7 @@ def _neighbor_divisors(alpha: float, divs: list[int]) -> tuple[int, int]:
     return below, above
 
 
-def _argmin_over(n: int, p: float, ks: list[int], objective, metric: str) -> OptimizationResult:
+def _argmin_over(n: int, p: float, ks: list[int], objective) -> OptimizationResult:
     # one validated SystemConfig per candidate k; validate_config also checks p
     evaluated = [(k, objective(validate_config(n, p, k))) for k in ks]
     # min keeps the first of equal values, and ks ascend: ties go to the smallest k
@@ -103,7 +102,6 @@ def _argmin_over(n: int, p: float, ks: list[int], objective, metric: str) -> Opt
     return OptimizationResult(
         optimal_k=best_k,
         candidates=tuple(evaluated),
-        metric=metric,
         objective_at_optimum=best_value,
     )
 
@@ -118,7 +116,7 @@ def _testing_search(n: int, p: float, divs: list[int]) -> OptimizationResult:
                 below, above = _neighbor_divisors(alpha, divs)
                 candidates.extend((below, above))
             candidates = sorted(set(candidates))
-    return _argmin_over(n, p, candidates, analytic.expected_cycle_length, "expected-updates")
+    return _argmin_over(n, p, candidates, analytic.expected_cycle_length)
 
 
 def optimal_group_size_testing(n: int, p: float) -> OptimizationResult:
@@ -135,7 +133,7 @@ def optimal_group_size_testing(n: int, p: float) -> OptimizationResult:
 def optimal_group_size_updating(n: int, p: float) -> OptimizationResult:
     """Group size minimizing the average age, by exhaustive search over divisors of n."""
     n = _checked_n(n)
-    return _argmin_over(n, p, divisors(n), analytic.average_age, "age")
+    return _argmin_over(n, p, divisors(n), analytic.average_age)
 
 
 def _beats_round_robin(n: int, p: float, divs: list[int], baseline: float) -> bool:
@@ -174,6 +172,6 @@ def kstar_sweep(n: int, p_values) -> list[tuple[float, int, int]]:
     divs = divisors(n)
     rows = []
     for p in p_values:
-        updating = _argmin_over(n, p, divs, analytic.average_age, "age")
+        updating = _argmin_over(n, p, divs, analytic.average_age)
         rows.append((p, updating.optimal_k, _testing_search(n, p, divs).optimal_k))
     return rows

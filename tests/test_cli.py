@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -9,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from groupage import analytic, sim
 from groupage.analytic import average_age
 from groupage.cli import (
+    EXIT_ANALYTIC_MISMATCH,
     EXIT_IO,
     EXIT_OK,
+    EXIT_STATISTICAL_MISMATCH,
     EXIT_USAGE,
     _standard_error,
     main,
@@ -173,6 +177,97 @@ def test_usage_errors_exit_one():
     assert main(["simulate", "--n", "12", "--p", "0.3", "--k", "5", "--cycles", "100"]) == EXIT_USAGE
     assert main(["simulate", "--n", "12", "--p", "0.3", "--k", "3", "--cycles", "1"]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
+
+
+def test_validate_exits_statistical_mismatch_on_zero_variance_legs(capsys):
+    # the README's example: at p = 1e-9 no group is flagged in 1000 cycles, so
+    # every simulation leg has a zero bound and misses its closed form
+    code = main(["validate", "--n", "120", "--p", "1e-9", "--k", "4", "--cycles", "1000", "--seeds", "0"])
+    out = capsys.readouterr().out
+    assert code == EXIT_STATISTICAL_MISMATCH
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 4
+    assert all(line.startswith("FAIL: simulation seed=0 ") and line.endswith("(3se = 0)") for line in fails)
+
+
+def test_validate_exits_analytic_mismatch_even_when_simulation_passes(capsys):
+    exact = analytic.convolution_oracle
+
+    def off_by_a_millionth(config):
+        moments = exact(config)
+        return dataclasses.replace(
+            moments, **{field.name: getattr(moments, field.name) * (1 + 1e-6) for field in dataclasses.fields(moments)}
+        )
+
+    with mock.patch.object(analytic, "convolution_oracle", off_by_a_millionth):
+        code = main(["validate", "--n", "4", "--p", "0.5", "--k", "2", "--cycles", "20000", "--seeds", "0,1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_ANALYTIC_MISMATCH
+    assert lines[0].startswith("FAIL: closed-form vs convolution-oracle")
+    assert lines[1].startswith("PASS: closed-form vs enumeration-oracle")
+    simulation = [line for line in lines if "simulation" in line]
+    assert len(simulation) == 8
+    assert all(line.startswith("PASS") for line in simulation)
+
+
+# Each subcommand with a valid argv, the flags its help must list, and the
+# flag whose absence must be a usage error.
+SUBCOMMANDS = {
+    "age-vs-k": (["--n", "6", "--p-list", "0.1"], {"--n", "--p-list", "--out"}, "--n"),
+    "age-vs-n": (["--n-range", "6:12:6", "--p-list", "0.1"], {"--n-range", "--p-list", "--out"}, "--n-range"),
+    "compare-metrics": (["--n", "6", "--p-list", "0.1"], {"--n", "--p-list", "--out"}, "--p-list"),
+    "kstar-vs-p": (["--n", "6", "--p-list", "0.1"], {"--n", "--p-list", "--out"}, "--p-list"),
+    "simulate": (
+        ["--n", "4", "--p", "0.5", "--k", "2", "--cycles", "100"],
+        {"--n", "--p", "--k", "--cycles", "--seeds", "--out"},
+        "--k",
+    ),
+    "validate": (
+        ["--n", "4", "--p", "0.5", "--k", "2", "--cycles", "100"],
+        {"--n", "--p", "--k", "--cycles", "--seeds"},
+        "--p",
+    ),
+}
+
+
+def _without_flag(argv, flag):
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 2 :]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_subcommand_usage_errors_exit_one_with_nothing_on_stdout(command, capsys):
+    argv, _, required = SUBCOMMANDS[command]
+    bad = [_without_flag(argv, required), argv + ["--bogus", "1"]]
+    if "--cycles" in argv:
+        bad.append(_without_flag(argv, "--cycles") + ["--cycles", "1"])
+    for args in bad:
+        assert main([command, *args]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_subcommand_help_lists_exactly_its_flags(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == SUBCOMMANDS[command][1] | {"--help"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("seeds", ["-1", "1,-1"])
+def test_negative_seed_is_a_usage_error_before_any_work(command, seeds, capsys):
+    refuse = mock.Mock(side_effect=AssertionError("simulated before refusing the seed list"))
+    with mock.patch.object(sim, "simulate_age", refuse):
+        code = main([command, "--n", "4", "--p", "0.5", "--k", "2", "--cycles", "100", "--seeds", seeds])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "seed" in captured.err
+    assert refuse.call_count == 0
 
 
 def test_over_budget_input_exits_one_before_simulating(capsys):

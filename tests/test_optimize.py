@@ -75,7 +75,6 @@ def test_optimal_group_size_testing_examples():
 
 def test_optimal_group_size_testing_result_invariants():
     result = optimal_group_size_testing(48, 0.05)
-    assert result.metric == "expected-updates"
     ks = [k for k, _ in result.candidates]
     assert result.optimal_k in ks
     assert all(48 % k == 0 for k in ks)
@@ -120,7 +119,6 @@ def test_optimal_group_size_updating_examples():
 def test_optimal_group_size_updating_evaluates_every_divisor():
     result = optimal_group_size_updating(120, 0.1)
     assert [k for k, _ in result.candidates] == divisors(120)
-    assert result.metric == "age"
     values = dict(result.candidates)
     assert result.objective_at_optimum <= values[1]
     assert result.objective_at_optimum <= values[120]
