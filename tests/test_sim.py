@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -27,7 +28,7 @@ from oracles import (
 def small_runs(draw):
     n = draw(st.integers(min_value=1, max_value=12))
     k = draw(st.sampled_from(divisors(n)))
-    p = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    p = draw(st.sampled_from([0.0, 1e-3, 0.02, 0.2, 0.5, 0.8, 1.0]))
     num_cycles = draw(st.integers(min_value=2, max_value=40))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return validate_config(n, p, k), num_cycles, seed
@@ -200,20 +201,71 @@ def test_renewal_consistency(run):
 
 @pytest.mark.parametrize("chunk", [1, 3, 97, 10_000])
 def test_streaming_mode_matches_full_trace_exactly(chunk):
-    cfg = validate_config(24, 0.3, 4)
-    per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, 400, seed=21))
-    streamed = simulate_age_in_chunks(cfg, 400, 21, chunk)
-    assert np.array_equal(per_source, streamed.per_source_age)
-    assert overall == streamed.overall_age
-    assert se == streamed.standard_error
-    assert np.array_equal(streamed.flag_counts, flag_counts_of(cfg, oracle_flags(cfg, 400, seed=21)))
+    for p in (0.3, 0.02):  # at 0.02, 39% of the intervals lie between two all-clear cycles
+        cfg = validate_config(24, p, 4)
+        per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, 400, seed=21))
+        streamed = simulate_age_in_chunks(cfg, 400, 21, chunk)
+        assert np.array_equal(per_source, streamed.per_source_age)
+        assert overall == streamed.overall_age
+        assert se == streamed.standard_error
+        assert np.array_equal(streamed.flag_counts, flag_counts_of(cfg, oracle_flags(cfg, 400, seed=21)))
+
+
+def hand_built_flag_runs(m, num_cycles):
+    """(name, (N, m) flags): no flag, one flagged cycle at each position, each pair of flagged cycles, all flagged."""
+    none = np.zeros((num_cycles, m), dtype=bool)
+    yield "none", none
+    for cycle in range(num_cycles):
+        flags = none.copy()
+        flags[cycle, cycle % m] = True
+        yield f"cycle {cycle}", flags
+    for first in range(num_cycles):
+        for second in range(first + 1, num_cycles):
+            flags = none.copy()
+            flags[first, -1] = flags[second, 0] = True
+            yield f"cycles {first}, {second}", flags
+    yield "every group", np.ones((num_cycles, m), dtype=bool)
+    yield "one group a cycle", np.arange(num_cycles)[:, None] % m == np.arange(m)
+
+
+def check_hand_built_runs(n, k):
+    """Each hand-built run, fed as 1-, 2- and 3-cycle chunks and as one chunk, equals the per-source reference exactly."""
+    cfg = validate_config(n, 0.5, k)
+    num_cycles = 7
+    j = np.arange(1, k + 1)
+    for name, flags in hand_built_flag_runs(cfg.m, num_cycles):
+        per_source, overall, se = per_source_age_estimate(1 + j * flags[:, :, None].astype(np.int64))
+        for chunk in (1, 2, 3, num_cycles):
+            chunks = [flags[start : start + chunk] for start in range(0, num_cycles, chunk)]
+            with mock.patch.object(sim, "_flag_chunks", lambda *args: iter(chunks)):
+                summary = simulate_age(cfg, num_cycles, seed=0)
+            assert np.array_equal(summary.per_source_age, per_source), (name, chunk)
+            assert summary.overall_age == overall, (name, chunk)
+            assert summary.standard_error == se, (name, chunk)
+            assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags)), (name, chunk)
+
+
+HAND_BUILT_SHAPES = [(6, 2), (3, 3), (4, 1), (1, 1)]  # (n, k): m = 3, m = 1, k = 1, and both
+
+
+@pytest.mark.parametrize("n, k", HAND_BUILT_SHAPES)
+def test_estimate_equals_per_source_reference_on_hand_built_flags(n, k):
+    check_hand_built_runs(n, k)
+
+
+@pytest.mark.parametrize("share", [0.0, math.inf])
+@pytest.mark.parametrize("n, k", HAND_BUILT_SHAPES)
+def test_whole_and_gathered_blocks_equal_reference_on_hand_built_flags(n, k, share):
+    # share 0 folds every chunk whole; share inf gathers the busy rows of every chunk
+    with mock.patch.object(sim, "_GATHER_SHARE", share):
+        check_hand_built_runs(n, k)
 
 
 @st.composite
 def reference_runs(draw):
     n = draw(st.integers(min_value=1, max_value=24))
     k = draw(st.sampled_from(divisors(n)))
-    p = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    p = draw(st.sampled_from([0.0, 1e-3, 0.02, 0.2, 0.5, 1.0]))
     num_cycles = draw(st.integers(min_value=2, max_value=60))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return validate_config(n, p, k), num_cycles, seed
