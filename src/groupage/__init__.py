@@ -8,7 +8,6 @@ from .analytic import (
     cycle_length_second_moment,
     enumeration_oracle,
     expected_cycle_length,
-    expected_source_service,
     mean_service_time,
     round_robin_age,
 )

@@ -1,10 +1,13 @@
 """Closed-form cycle moments and average age of information.
 
-An update cycle is the time to deliver all n statuses once. It is the sum of
-m i.i.d. per-group service times W with P(W=1) = q and P(W=k+1) = 1-q, which
-gives closed forms for E[Y] and E[Y^2]. The time-average age then follows the
-renewal-reward identity  age = E[Y^2] / (2 E[Y]) + E[S]  with E[S] the mean
-per-source service time.
+An update cycle is the time to deliver all n statuses once: the sum of m
+i.i.d. group times W, 1 with probability q and k+1 with qbar = 1 - q, so
+E[W] = 1 + k*qbar and Var W = k^2*q*qbar. Hence E[Y] = m + n*qbar and
+E[Y^2] = m*Var W + E[Y]^2 = n*k*q*qbar + E[Y]^2, and the time-average age
+follows the renewal-reward identity  age = E[Y^2] / (2 E[Y]) + E[S]  with
+E[S] = 1 + (k+1)*qbar/2. Every term is a sum of non-negative products of
+q and qbar, which the config derives without a subtraction, so the closed
+forms keep their digits when k*p << 1.
 
 Two exact oracles cross-check the closed forms without using them: a
 binomial convolution over the number of all-clear groups, and a full 2**n
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,6 @@ __all__ = [
     "MomentSet",
     "expected_cycle_length",
     "cycle_length_second_moment",
-    "expected_source_service",
     "mean_service_time",
     "average_age",
     "round_robin_age",
@@ -48,54 +49,43 @@ class MomentSet:
     average_age: float
 
 
-# The closed forms, written once over plain scalars (n, k, q) of a validated
-# SystemConfig: n a Python int (a numpy integer would wrap in n*n), k a divisor
-# of n and q its all-clear probability. The public per-config functions below
+# The closed forms, written once over the scalars of a validated SystemConfig
+# (n a Python int, so n*k cannot wrap); the public per-config functions below
 # call them, so each formula has one home and average_age makes one pass.
 
 
-def _mean_cycle(n: int, k: int, q: float) -> float:
-    return n / k + n * (1.0 - q)
+def _mean_cycle(n: int, m: int, qbar: float) -> float:
+    return m + n * qbar
 
 
-def _cycle_second_moment(n: int, k: int, q: float) -> float:
-    return (
-        n * (n - k) * q * q
-        + (n * n * (k + 1) * (k + 1)) / (k * k)
-        - n * (2 * n * (k + 1) - k * k) * q / k
-    )
+def _cycle_second_moment(n: int, k: int, q: float, qbar: float, mean: float) -> float:
+    return n * k * q * qbar + mean * mean
 
 
-def _mean_service(k: int, q: float) -> float:
-    return 1.0 + (k + 1) * (1.0 - q) / 2.0
+def _mean_service(k: int, qbar: float) -> float:
+    return 1.0 + (k + 1) * qbar / 2.0
 
 
 def expected_cycle_length(config: SystemConfig) -> float:
-    """E[Y] = n/k + n(1 - q): aggregate updates plus expected individual follow-ups."""
-    return _mean_cycle(config.n, config.k, config.q)
+    """E[Y] = m + n*qbar: one aggregate update per group plus the flagged groups' follow-ups."""
+    return _mean_cycle(config.n, config.m, config.qbar)
 
 
 def cycle_length_second_moment(config: SystemConfig) -> float:
-    """E[Y^2] = n(n-k)q^2 + n^2(k+1)^2/k^2 - n(2n(k+1) - k^2)q/k."""
-    return _cycle_second_moment(config.n, config.k, config.q)
-
-
-def expected_source_service(config: SystemConfig, j: int) -> float:
-    """E[S_j] = 1 + j(1 - q) for the j-th source of a group, j in 1..k."""
-    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 1 <= j <= config.k:
-        raise ValueError(f"source index j must be an integer in [1, k], got j={j!r} for k={config.k}")
-    return 1.0 + j * (1.0 - config.q)
+    """E[Y^2] = n*k*q*qbar + E[Y]^2, since Var Y = m Var W = m k^2 q qbar."""
+    return _cycle_second_moment(config.n, config.k, config.q, config.qbar, expected_cycle_length(config))
 
 
 def mean_service_time(config: SystemConfig) -> float:
-    """E[S] = 1 + (k+1)(1 - q)/2, the mean of E[S_j] over j = 1..k."""
-    return _mean_service(config.k, config.q)
+    """E[S] = 1 + (k+1)*qbar/2, the mean over j = 1..k of E[S_j] = 1 + j*qbar."""
+    return _mean_service(config.k, config.qbar)
 
 
 def average_age(config: SystemConfig) -> float:
     """Time-average age of information, E[Y^2]/(2 E[Y]) + E[S]."""
-    n, k, q = config.n, config.k, config.q
-    return _cycle_second_moment(n, k, q) / (2.0 * _mean_cycle(n, k, q)) + _mean_service(k, q)
+    n, k, qbar = config.n, config.k, config.qbar
+    mean = _mean_cycle(n, config.m, qbar)
+    return _cycle_second_moment(n, k, config.q, qbar, mean) / (2.0 * mean) + _mean_service(k, qbar)
 
 
 def round_robin_age(n: int) -> float:
@@ -118,22 +108,22 @@ def convolution_oracle(config: SystemConfig) -> MomentSet:
 
     With z of the m groups all clear, the cycle lasts m(k+1) - kz slots, and z
     is Binomial(m, q); E[Y] and E[Y^2] are the exact binomial sums over
-    z = 0..m, whose pmf comes from a table of log-factorials. Source j of a
-    group takes 1 + j slots when its group is flagged, so E[S] averages
-    1 + j(1-q) over j = 1..k.
+    z = 0..m, whose pmf comes from a table of log-factorials and the logs
+    log q = k*log1p(-p) and log(qbar). Source j of a group takes 1 + j slots
+    when its group is flagged, so E[S] averages 1 + j*qbar over j = 1..k.
     """
-    m, k, q = config.m, config.k, config.q
+    m, k, p, q, qbar = config.m, config.k, config.p, config.q, config.qbar
     z = np.arange(m + 1)
-    if 0.0 < q < 1.0:
+    if 0.0 < p < 1.0:
         log_factorial = np.fromiter(map(math.lgamma, range(1, m + 2)), dtype=np.float64, count=m + 1)
         log_choose = log_factorial[m] - log_factorial - log_factorial[::-1]
-        pmf = np.exp(log_choose + z * math.log(q) + (m - z) * math.log1p(-q))
+        pmf = np.exp(log_choose + z * (k * math.log1p(-p)) + (m - z) * math.log(qbar))
     else:  # the exact point mass at z = 0 (q = 0) or z = m (q = 1)
         pmf = (z == m * q).astype(np.float64)
     cycle = (m * (k + 1) - k * z).astype(np.float64)
     mean = float(pmf @ cycle)
     second = float(pmf @ (cycle * cycle))
-    service = float(np.mean(1.0 + np.arange(1, k + 1) * (1.0 - q)))
+    service = float(np.mean(1.0 + np.arange(1, k + 1) * qbar))
     return MomentSet(
         mean_cycle=mean,
         second_moment_cycle=second,

@@ -176,6 +176,7 @@ def cmd_simulate(n: int, p: float, k: int, cycles: int, seeds: list[int], out: s
     """Per-seed simulated age and cycle moments next to their closed-form values."""
     config = validate_config(n, p, k)
     _check_memory_budget(config, cycles)
+    sim._check_int64_totals(config, cycles)
     closed_age = analytic.average_age(config)
     rows = []
     for seed in sorted(seeds):
@@ -245,6 +246,7 @@ def cmd_validate(n: int, p: float, k: int, cycles: int, seeds: list[int]) -> int
     """
     config = validate_config(n, p, k)
     _check_memory_budget(config, cycles)
+    sim._check_int64_totals(config, cycles)
     closed = analytic.closed_form_moments(config)
     analytic_ok = True
     statistical_ok = True

@@ -8,8 +8,9 @@ individual update per source, so source j in a flagged group is delivered
 after j+1 slots and the whole group takes k+1 slots.
 
 A configuration's independent facts are (n, p, k); SystemConfig checks them
-and derives m and the all-clear probability q = (1-p)**k once, on
-construction.
+and derives m, the all-clear probability q = (1-p)**k and the flagged one
+qbar = 1 - q once, as exp(t) and -expm1(t) of one t = k*log1p(-p), so qbar
+keeps its digits when k*p << 1, where 1 - q would cancel.
 """
 
 from __future__ import annotations
@@ -45,25 +46,26 @@ def _checked_n(n: int) -> int:
     return n
 
 
+def _log_all_clear(p: float, k: int) -> float:
+    # t = log q = k*log1p(-p), which keeps its digits at small p, unlike log((1-p)**k)
+    return -math.inf if p >= 1.0 else k * math.log1p(-p)
+
+
 def all_clear_probability(p: float, k: int) -> float:
     """Probability (1-p)**k that a group of k sources reports all zeros."""
-    if p <= 0.0:
-        return 1.0
-    if p >= 1.0:
-        return 0.0
-    # exp(k*log1p(-p)) keeps full precision at small p, unlike (1-p)**k
-    return math.exp(k * math.log1p(-p))
+    return math.exp(_log_all_clear(p, k))
 
 
 @dataclass(frozen=True, init=False)
 class SystemConfig:
-    """Validated (n, p, k) triple; the group count m = n/k and all-clear probability q are derived once."""
+    """Validated (n, p, k) triple; the group count m = n/k, q and qbar = 1 - q are derived once."""
 
     n: int
     p: float
     k: int
     m: int = field(init=False)
     q: float = field(init=False)
+    qbar: float = field(init=False)
 
     def __init__(self, n: int, p: float, k: int) -> None:
         n = _checked_n(n)
@@ -77,9 +79,10 @@ class SystemConfig:
             raise ValueError(f"k must lie in [1, n], got k={k} for n={n}")
         if n % k != 0:
             raise ValueError(f"k must divide n exactly, got n={n}, k={k}")
-        # one dict update rather than five object.__setattr__ calls: the
+        t = _log_all_clear(p, k)
+        # one dict update rather than six object.__setattr__ calls: the
         # optimizers build one config per divisor, about 800 000 a sweep pass
-        self.__dict__.update(n=n, p=p, k=k, m=n // k, q=all_clear_probability(p, k))
+        self.__dict__.update(n=n, p=p, k=k, m=n // k, q=math.exp(t), qbar=-math.expm1(t))
 
 
 def validate_config(n: int, p: float, k: int) -> SystemConfig:

@@ -5,7 +5,9 @@ updates per cycle E[Y] (the pooled-testing metric) and the average age of
 information. For E[Y] the continuous relaxation has stationary points
 expressible through the two real branches of the Lambert W function, which
 yields a six-candidate shortcut; the age metric has no tractable stationary
-condition, so it is searched exhaustively.
+condition, so it is searched exhaustively. The largest p at which grouped
+updating still matches round robin is in closed form: for each divisor the
+age condition is a quadratic in qbar, solved by its larger root.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ __all__ = [
 # Largest p for which the continuous E[Y] curve has interior stationary
 # points: 1 - exp(-4/e^2), about 0.418.
 STATIONARY_P_MAX = 1.0 - math.exp(-4.0 / math.e**2)
-
-# Width of the final bisection bracket of updating_efficiency_threshold. It
-# must stay well above one ulp of p, or the bisection never stops.
-THRESHOLD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -136,34 +134,28 @@ def optimal_group_size_updating(n: int, p: float) -> OptimizationResult:
     return _argmin_over(n, p, divisors(n), analytic.average_age)
 
 
-def _beats_round_robin(n: int, p: float, divs: list[int], baseline: float) -> bool:
-    return min(analytic.average_age(validate_config(n, p, k)) for k in divs) <= baseline
-
-
 def updating_efficiency_threshold(n: int) -> float:
-    """Largest p for which grouped updating can still match round-robin age, by bisection.
+    """Largest p for which grouped updating can still match round-robin age, in closed form.
 
-    The efficiency condition min_k age(n, p, k) <= n/2 + 1 holds at p -> 0 and
-    fails at p = 1; it is treated as monotone in p, with both bracket
-    endpoints verified before bisecting, down to a bracket of THRESHOLD_TOL.
+    With u = qbar, E[Y] = m + n u, E[Y^2] = n k (1-u) u + E[Y]^2 and
+    E[S] = 1 + (k+1) u/2, groups of k match n/2 + 1 exactly when
+    f(u) = E[Y^2] + 2 E[Y] (E[S] - n/2 - 1) = a u^2 + b u + c <= 0, with the
+    exact integers a = n(n+1), b = m(k^2 + 2n + k + 1) - n^2, c = m(m-n).
+    As a > 0 and c <= 0 < f(1), that holds for u up to the larger root u+ < 1,
+    taken in the form that adds like signs: for p <= 1 - (1 - u+)**(1/k). The
+    threshold is the largest of these over the divisors of n.
     """
     n = _checked_n(n)
     if n < 2:
         raise ValueError(f"threshold requires n >= 2, got {n}")
-    divs = divisors(n)
-    baseline = analytic.round_robin_age(n)
-    lo, hi = 0.0, 1.0
-    if not _beats_round_robin(n, lo, divs, baseline):
-        raise RuntimeError("efficiency condition unexpectedly fails at p=0")
-    if _beats_round_robin(n, hi, divs, baseline):
-        return hi
-    while hi - lo > THRESHOLD_TOL:
-        mid = 0.5 * (lo + hi)
-        if _beats_round_robin(n, mid, divs, baseline):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    a, best = n * (n + 1), 0.0
+    for k in divisors(n):
+        m = n // k
+        b, c = m * (k * k + 2 * n + k + 1) - n * n, m * (m - n)
+        root = math.sqrt(b * b - 4 * a * c)
+        u = (root - b) / (2 * a) if b < 0 else 2 * c / (-b - root)
+        best = max(best, -math.expm1(math.log1p(-u) / k))
+    return best
 
 
 def kstar_sweep(n: int, p_values) -> list[tuple[float, int, int]]:

@@ -207,6 +207,17 @@ def _pooled_standard_error(pooled_intervals: np.ndarray, pooled_double_areas: np
     return math.sqrt(variance) / mean_interval
 
 
+def _check_int64_totals(config: SystemConfig, num_cycles: int) -> None:
+    # The largest int64 total is the pooled double area of the N-1 intervals: a
+    # group's interval Y spans m group times, so Y <= m(k+1), and it adds
+    # k*Y^2 + 2k*Y + k(k+1)*Y*F <= k*Y^2 + (k^2+3k)*Y to its row (p = 1 attains
+    # this). The pooled Y, each group's Y^2 and the counted L^2 <= N*Y^2 stay below.
+    m, k = config.m, config.k
+    y = m * (k + 1)
+    if (num_cycles - 1) * m * (k * y * y + (k * k + 3 * k) * y) > np.iinfo(np.int64).max:
+        raise ValueError(f"{num_cycles} cycles of m={m} groups can overflow the standard error's int64 sums")
+
+
 def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary:
     """Simulate num_cycles i.i.d. update cycles from a seed and estimate the age (needs >= 2 cycles).
 
@@ -215,10 +226,12 @@ def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary
     is discarded. Cycles are drawn and folded in chunks of
     max(1, CHUNK_DRAWS // n) cycles, so memory is one chunk plus O(num_cycles)
     for the two pooled per-interval series. The random stream consumed and the
-    estimates, to the last bit, do not depend on the chunk size.
+    estimates, to the last bit, do not depend on the chunk size. A run whose
+    int64 sums could overflow is refused.
     """
     if num_cycles < 2:
         raise ValueError("age estimation requires at least 2 cycles")
+    _check_int64_totals(config, num_cycles)
     return _estimate(config, num_cycles, _flag_chunks(config, seed, num_cycles))
 
 

@@ -3,6 +3,8 @@
 These deliberately avoid the library's own code paths: the expanded age
 formula catches transcription errors in the composed form, the per-config
 closed forms pin the float operation order of the library's kernel, the
+50-digit mpmath moments are the exact values the closed forms must round
+to, the per-source service mean is the one the mean service averages, the
 bisection solver checks the Lambert W iteration against nothing but
 monotonicity of x * exp(x), the looped binomial convolution and the
 (2**n, m, k) status enumeration are the library's exact oracles as first
@@ -17,11 +19,13 @@ of the per-group shortcuts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
+import mpmath
 import numpy as np
 
 
@@ -35,50 +39,84 @@ def expanded_average_age(n: int, p: float, k: int) -> float:
 
 
 def per_config_mean_cycle(config) -> float:
-    """E[Y] of one SystemConfig, written out apart from the library's kernel.
+    """E[Y] = m + n*qbar of one SystemConfig, written out apart from the library's kernel.
 
     The float operations run in the library's order, so the optimizers'
     per-divisor values must equal this exactly; a reordered product in the
     kernel shows as a last-bit difference.
     """
-    n, k, q = config.n, config.k, config.q
-    return n / k + n * (1.0 - q)
+    return config.m + config.n * config.qbar
 
 
 def per_config_average_age(config) -> float:
     """Average age of one SystemConfig, E[Y^2]/(2 E[Y]) + E[S], in the same fixed float order."""
-    n, k, q = config.n, config.k, config.q
-    second = n * (n - k) * q * q + (n * n * (k + 1) * (k + 1)) / (k * k) - n * (2 * n * (k + 1) - k * k) * q / k
-    service = 1.0 + (k + 1) * (1.0 - q) / 2.0
-    return second / (2.0 * per_config_mean_cycle(config)) + service
+    n, k, q, qbar = config.n, config.k, config.q, config.qbar
+    mean = per_config_mean_cycle(config)
+    second = n * k * q * qbar + mean * mean
+    service = 1.0 + (k + 1) * qbar / 2.0
+    return second / (2.0 * mean) + service
 
 
-def _binomial_pmf(m: int, z: int, q: float) -> float:
-    if q <= 0.0:
-        return 1.0 if z == 0 else 0.0
-    if q >= 1.0:
+def expected_source_service(config, j: int) -> float:
+    """E[S_j] = 1 + j*qbar for the j-th source of a group, j in 1..k."""
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 1 <= j <= config.k:
+        raise ValueError(f"source index j must be an integer in [1, k], got j={j!r} for k={config.k}")
+    return 1.0 + j * config.qbar
+
+
+def mpmath_moments(n: int, p: float, k: int) -> tuple:
+    """(E[Y], E[Y^2], E[S], age) of (n, p, k) as 50-digit mpf values, from the two moments of one group time.
+
+    W is 1 with probability q = (1-p)^k and k+1 otherwise, Y sums m i.i.d.
+    copies, so E[Y] = m E[W] and E[Y^2] = m E[W^2] + m(m-1) E[W]^2; source j
+    of a group takes 1 slot, or 1 + j when the group is flagged. The float p
+    converts exactly, and 1 - q keeps at least 35 digits for p >= 1e-15.
+    """
+    with mpmath.workdps(50):
+        m = n // k
+        q = (1 - mpmath.mpf(p)) ** k
+        flagged = 1 - q
+        mean_w = q + (k + 1) * flagged
+        second_w = q + (k + 1) ** 2 * flagged
+        mean = m * mean_w
+        second = m * second_w + m * (m - 1) * mean_w**2
+        service = q + flagged * (1 + mpmath.mpf(k + 1) / 2)
+        return mean, second, service, second / (2 * mean) + service
+
+
+def _binomial_pmf(m: int, z: int, log_q: float, log_qbar: float) -> float:
+    if log_qbar == -math.inf:  # p = 0: every group is all clear
         return 1.0 if z == m else 0.0
+    if log_q == -math.inf:  # p = 1: none is
+        return 1.0 if z == 0 else 0.0
     log_pmf = (
         math.lgamma(m + 1)
         - math.lgamma(z + 1)
         - math.lgamma(m - z + 1)
-        + z * math.log(q)
-        + (m - z) * math.log1p(-q)
+        + z * log_q
+        + (m - z) * log_qbar
     )
     return math.exp(log_pmf)
 
 
 def looped_convolution_moments(config) -> tuple[float, float, float, float]:
-    """(E[Y], E[Y^2], E[S], age) from one Python lgamma pmf term per count z of all-clear groups."""
-    m, k, q = config.m, config.k, config.q
+    """(E[Y], E[Y^2], E[S], age) from one Python lgamma pmf term per count z of all-clear groups.
+
+    It takes its own log q = k*log1p(-p) and qbar = 1 - q = -expm1(log q)
+    from p, so neither cancels when k*p << 1.
+    """
+    m, k, p = config.m, config.k, config.p
+    log_q = k * math.log1p(-p) if p < 1.0 else -math.inf
+    qbar = -math.expm1(log_q)
+    log_qbar = math.log(qbar) if qbar > 0.0 else -math.inf
     mean = 0.0
     second = 0.0
     for z in range(m + 1):
-        pmf = _binomial_pmf(m, z, q)
+        pmf = _binomial_pmf(m, z, log_q, log_qbar)
         y = m * (k + 1) - k * z
         mean += pmf * y
         second += pmf * y * y
-    service = sum(1.0 + j * (1.0 - q) for j in range(1, k + 1)) / k
+    service = sum(1.0 + j * qbar for j in range(1, k + 1)) / k
     return mean, second, service, second / (2.0 * mean) + service
 
 

@@ -2,7 +2,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from groupage.analytic import (
     average_age,
@@ -11,7 +11,6 @@ from groupage.analytic import (
     cycle_length_second_moment,
     enumeration_oracle,
     expected_cycle_length,
-    expected_source_service,
     mean_service_time,
     round_robin_age,
 )
@@ -19,7 +18,9 @@ from groupage.model import divisors, validate_config
 
 from oracles import (
     expanded_average_age,
+    expected_source_service,
     looped_convolution_moments,
+    mpmath_moments,
     per_group_time_moments,
     per_source_enumeration_moments,
 )
@@ -215,6 +216,32 @@ def test_enumeration_matches_per_source_reference(nk, p):
 def test_convolution_matches_looped_reference(m, k, p):
     cfg = validate_config(m * k, p, k)
     _assert_moments_match(convolution_oracle(cfg), looped_convolution_moments(cfg), rel=1e-14)
+
+
+# n up to 1e8 with k any of its divisors, and p log-uniform down to 1e-15 as
+# well as anywhere in [1e-15, 1] and at both ends
+@st.composite
+def wide_configs(draw):
+    n = draw(st.one_of(st.integers(min_value=1, max_value=10**8), st.sampled_from([720720, 99991, 10**8])))
+    k = draw(st.sampled_from(divisors(n)))
+    p = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 1e-15]),
+            st.floats(min_value=-15.0, max_value=0.0).map(lambda e: 10.0**e),
+            st.floats(min_value=1e-15, max_value=1.0),
+        )
+    )
+    return validate_config(n, p, k)
+
+
+@settings(deadline=None, max_examples=300)
+@given(wide_configs())
+@example(validate_config(10000, 1e-12, 10000))  # k*p = 1e-8: 1 - q by subtraction kept about 8 digits
+def test_closed_forms_match_mpmath_to_1e_12_relative(cfg):
+    moments = closed_form_moments(cfg)
+    fields = (moments.mean_cycle, moments.second_moment_cycle, moments.mean_service, moments.average_age)
+    for value, exact in zip(fields, mpmath_moments(cfg.n, cfg.p, cfg.k)):
+        assert abs(value - exact) <= 1e-12 * exact, (cfg, fields)
 
 
 def test_enumeration_oracle_memory_at_twenty_sources():

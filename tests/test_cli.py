@@ -288,6 +288,26 @@ def test_over_budget_input_exits_one_before_simulating(capsys):
     assert refuse.call_count == 0
 
 
+def test_int64_overflowing_input_exits_one_before_any_output(capsys):
+    refuse = mock.Mock(side_effect=AssertionError("ran past the int64 check"))
+    with mock.patch.object(sim, "simulate_age", refuse), mock.patch.object(analytic, "convolution_oracle", refuse):
+        for command in ("simulate", "validate"):
+            argv = [command, "--n", "3000000", "--p", "1e-9", "--k", "1", "--cycles", "3", "--seeds", "0"]
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "int64" in captured.err
+    assert refuse.call_count == 0
+
+
+def test_validate_passes_the_analytic_legs_when_k_p_is_tiny(capsys):
+    # at k*p = 1e-8, 1 - q by subtraction kept about 8 digits and this exited 2
+    code = main(["validate", "--n", "10000", "--p", "1e-12", "--k", "10000", "--cycles", "50", "--seeds", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS: closed-form vs convolution-oracle")
+    assert code != EXIT_ANALYTIC_MISMATCH
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 1000)), min_size=1, max_size=30),

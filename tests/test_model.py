@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +28,18 @@ def test_validate_config_fills_derived_fields():
 def test_validate_config_degenerate_probabilities():
     assert validate_config(10, 0.0, 5).q == 1.0
     assert validate_config(10, 1.0, 5).q == 0.0
+    assert math.copysign(1.0, validate_config(10, 0.0, 5).qbar) == 1.0  # +0.0, not -0.0
+    assert validate_config(10, 0.0, 5).qbar == 0.0
+    assert validate_config(10, 1.0, 5).qbar == 1.0
+
+
+def test_qbar_is_one_minus_q_without_cancellation():
+    # 1 - q keeps only the digits of q near 1; qbar = -expm1(k*log1p(-p)) keeps all of them
+    cfg = validate_config(10000, 1e-12, 10000)
+    with mpmath.workdps(50):
+        exact = 1 - (1 - mpmath.mpf(1e-12)) ** 10000
+        assert abs(cfg.qbar - exact) <= 1e-15 * exact
+        assert abs((1.0 - cfg.q) - exact) > 1e-10 * exact
 
 
 def test_validate_config_rejects_non_divisor():

@@ -15,7 +15,7 @@ from groupage.optimize import (
     stationary_group_sizes,
     updating_efficiency_threshold,
 )
-from oracles import per_config_average_age, per_config_mean_cycle
+from oracles import mpmath_moments, per_config_average_age, per_config_mean_cycle
 
 
 def test_group_testing_efficiency_threshold_examples():
@@ -164,6 +164,23 @@ def test_updating_threshold_is_a_sign_change_point():
 
         assert beats(max(threshold - 2e-6, 0.0))
         assert not beats(min(threshold + 2e-6, 1.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 97, 120, 10007, 99991, 720720])
+def test_updating_threshold_is_a_sign_change_at_a_relative_step_of_1e_12(n):
+    threshold = updating_efficiency_threshold(n)
+    assert 0.0 < threshold < 1.0
+    below, above = threshold * (1 - 1e-12), threshold * (1 + 1e-12)
+    ks = divisors(n)
+
+    def beats(p):
+        return min(average_age(validate_config(n, p, k)) for k in ks) <= round_robin_age(n)
+
+    def beats_exactly(p):
+        return min(mpmath_moments(n, p, k)[3] for k in ks) <= n / 2 + 1
+
+    assert beats(below) and not beats(above)
+    assert beats_exactly(below) and not beats_exactly(above)
 
 
 def test_updating_threshold_matches_grid_scan_for_small_n():

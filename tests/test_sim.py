@@ -83,6 +83,36 @@ def test_simulate_age_is_deterministic_per_seed():
     assert not np.array_equal(a.flag_counts, c.flag_counts)
 
 
+def _worst_double_area(config, num_cycles):
+    # every interval of every group at its longest, Y = m(k+1), closed by a flagged update
+    m, k = config.m, config.k
+    y = m * (k + 1)
+    return (num_cycles - 1) * m * (k * y * y + (k * k + 3 * k) * y)
+
+
+def test_int64_bound_is_what_an_all_flagged_run_sums():
+    cfg = validate_config(12, 1.0, 3)
+    _, _, _, double_areas = sim._fold(cfg, 50, sim._flag_chunks(cfg, 0, 50))
+    assert int(double_areas.sum()) == _worst_double_area(cfg, 50)
+
+
+@pytest.mark.parametrize("n,k", [(1000, 1), (120, 4), (6, 6), (1, 1)])
+def test_int64_check_refuses_exactly_past_the_bound(n, k):
+    cfg = validate_config(n, 0.1, k)
+    longest = (2**63 - 1) // _worst_double_area(cfg, 2) + 1  # the most cycles that fit
+    assert _worst_double_area(cfg, longest) <= 2**63 - 1 < _worst_double_area(cfg, longest + 1)
+    sim._check_int64_totals(cfg, longest)
+    with pytest.raises(ValueError, match="int64"):
+        sim._check_int64_totals(cfg, longest + 1)
+
+
+def test_simulate_age_refuses_a_run_whose_sums_overflow():
+    # this run has no flagged group, so its exact SE is 0; the overflowed
+    # int64 series once gave 512409.557603
+    with pytest.raises(ValueError, match="int64"):
+        simulate_age(validate_config(3_000_000, 1e-9, 1), 3, seed=0)
+
+
 @settings(deadline=None, max_examples=40)
 @given(small_runs())
 def test_flag_counts_and_moments_match_oracle_trace(run):
