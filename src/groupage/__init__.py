@@ -12,7 +12,7 @@ from .analytic import (
     round_robin_age,
 )
 from .lambertw import BRANCH_POINT, lambert_w0, lambert_wm1
-from .model import SystemConfig, all_clear_probability, divisors, validate_config
+from .model import SystemConfig, divisors, validate_config
 from .optimize import (
     STATIONARY_P_MAX,
     OptimizationResult,

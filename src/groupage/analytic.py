@@ -11,7 +11,8 @@ forms keep their digits when k*p << 1.
 
 Two exact oracles cross-check the closed forms without using them: a
 binomial convolution over the number of all-clear groups, and a full 2**n
-enumeration of status vectors as integer codes. Both are whole-array numpy.
+enumeration of status vectors as integer codes. The convolution is one
+whole-array numpy expression; the enumeration walks its codes in blocks.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 ENUMERATION_MAX_SOURCES = 20
+_ENUMERATION_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -140,24 +142,35 @@ def enumeration_oracle(config: SystemConfig) -> MomentSet:
     code with w set bits has probability p^w (1-p)^(n-w); group g is flagged
     when any of its bits is set, which the OR of k shifted copies of the code
     gathers on bit gk; source j of a flagged group takes 1 + j slots, of an
-    all-clear one 1. No (2**n, n) array is built. Limited to n <= 20.
+    all-clear one 1. The codes are walked in blocks of 2**16, each block's
+    expectations summed by numpy and the blocks' sums added exactly, so
+    memory is one block's and n <= 16 is one block. Limited to n <= 20.
     """
     n, m, k, p = config.n, config.m, config.k, config.p
     if n > ENUMERATION_MAX_SOURCES:
         raise ValueError(f"enumeration requires n <= {ENUMERATION_MAX_SOURCES}, got n={n}")
-    ones = np.zeros(1, dtype=np.int8)  # popcount of every code, doubled up one bit at a time
-    for _ in range(n):
+    bits = min(n, _ENUMERATION_BLOCK_BITS)
+    ones = np.zeros(1, dtype=np.int8)  # popcount of every code below 2**bits, doubled up one bit at a time
+    for _ in range(bits):
         ones = np.concatenate((ones, ones + 1))
     positives = np.arange(n + 1, dtype=np.float64)
-    pmf = (np.power(p, positives) * np.power(1.0 - p, n - positives))[ones]
-    codes = np.arange(1 << n, dtype=np.int32)
-    group_any = functools.reduce(np.bitwise_or, (codes >> shift for shift in range(k)))
-    flagged = ones[group_any & sum(1 << (g * k) for g in range(m))].astype(np.float64)
-    cycle = m + k * flagged
-    mean = float(pmf @ cycle)
-    second = float(pmf @ (cycle * cycle))
-    # a pairwise sum keeps the service within an ulp or so; a dot product here drifts by up to 1e-14
-    service = float(np.sum(pmf * (n + flagged * (k * (k + 1) // 2)))) / n
+    weights = np.power(p, positives) * np.power(1.0 - p, n - positives)  # by the number of set bits
+    leaders = sum(1 << (g * k) for g in range(m))
+    low, low_mask = np.arange(1 << bits, dtype=np.int32), (1 << bits) - 1
+    means, seconds, services = [], [], []
+    for high in range(1 << (n - bits)):  # the block's codes share their bits from `bits` up
+        codes = low | (high << bits)
+        pmf = weights[ones + ones[high]]
+        group_any = functools.reduce(np.bitwise_or, (codes >> shift for shift in range(k)))
+        leader_bits = group_any & leaders
+        flagged = (ones[leader_bits & low_mask] + ones[leader_bits >> bits]).astype(np.float64)
+        cycle = m + k * flagged
+        means.append(float(pmf @ cycle))
+        seconds.append(float(pmf @ (cycle * cycle)))
+        # a pairwise sum keeps the service within an ulp or so; a dot product here drifts by up to 1e-14
+        services.append(float(np.sum(pmf * (n + flagged * (k * (k + 1) // 2)))))
+    mean, second = math.fsum(means), math.fsum(seconds)
+    service = math.fsum(services) / n
     return MomentSet(
         mean_cycle=mean,
         second_moment_cycle=second,

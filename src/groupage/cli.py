@@ -30,10 +30,10 @@ EXIT_IO = 4
 
 ANALYTIC_RTOL = 1e-9
 
-# Largest working set simulate and validate accept, in bytes: 64 bytes a cycle
-# of pooled SE series (61 under tracemalloc), a chunk's 24 bytes a uniform draw
-# and 80 a group and cycle, and the convolution's six float64 arrays of m + 1
-# values. Over it, both exit 1 up front.
+# Largest working set simulate and validate accept, in bytes: a chunk's 24
+# bytes a uniform draw and 80 a group and cycle, and the convolution's six
+# float64 arrays of m + 1 values. The simulator keeps nothing per cycle, so
+# the number of cycles does not enter. Over it, both exit 1 up front.
 MEMORY_BUDGET_BYTES = 2**30
 
 
@@ -162,20 +162,20 @@ def cmd_kstar_vs_p(n: int, p_list: list[float], out: str | None) -> int:
     return EXIT_OK
 
 
-def _check_memory_budget(config: SystemConfig, num_cycles: int) -> None:
+def _check_memory_budget(config: SystemConfig) -> None:
     n, m = config.n, config.m
-    need = 64 * num_cycles + sim._cycles_per_chunk(config) * (24 * n + 80 * m) + 48 * (m + 1)
+    need = sim._cycles_per_chunk(config) * (24 * n + 80 * m) + 48 * (m + 1)
     if need > MEMORY_BUDGET_BYTES:
         raise UsageError(
-            f"--cycles {num_cycles} with n={n} sources in m={m} groups needs about {need / 2**20:.0f} MiB, "
-            f"over the {MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget; use fewer cycles, sources or groups"
+            f"n={n} sources in m={m} groups need about {need / 2**20:.0f} MiB, "
+            f"over the {MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget; use fewer sources or groups"
         )
 
 
 def cmd_simulate(n: int, p: float, k: int, cycles: int, seeds: list[int], out: str | None) -> int:
     """Per-seed simulated age and cycle moments next to their closed-form values."""
     config = validate_config(n, p, k)
-    _check_memory_budget(config, cycles)
+    _check_memory_budget(config)
     sim._check_int64_totals(config, cycles)
     closed_age = analytic.average_age(config)
     rows = []
@@ -245,7 +245,7 @@ def cmd_validate(n: int, p: float, k: int, cycles: int, seeds: list[int]) -> int
     is the all-clear value and the closed form lies just above it.
     """
     config = validate_config(n, p, k)
-    _check_memory_budget(config, cycles)
+    _check_memory_budget(config)
     sim._check_int64_totals(config, cycles)
     closed = analytic.closed_form_moments(config)
     analytic_ok = True

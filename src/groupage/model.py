@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "SystemConfig",
-    "all_clear_probability",
     "validate_config",
     "divisors",
 ]
+
+# Largest n whose divisors are searched; above it divisors (and every optimizer) raises ValueError.
+DIVISORS_MAX_N = 10**12
 
 
 def _checked_n(n: int) -> int:
@@ -49,11 +51,6 @@ def _checked_n(n: int) -> int:
 def _log_all_clear(p: float, k: int) -> float:
     # t = log q = k*log1p(-p), which keeps its digits at small p, unlike log((1-p)**k)
     return -math.inf if p >= 1.0 else k * math.log1p(-p)
-
-
-def all_clear_probability(p: float, k: int) -> float:
-    """Probability (1-p)**k that a group of k sources reports all zeros."""
-    return math.exp(_log_all_clear(p, k))
 
 
 @dataclass(frozen=True, init=False)
@@ -91,7 +88,28 @@ def validate_config(n: int, p: float, k: int) -> SystemConfig:
 
 
 def divisors(n: int) -> list[int]:
-    """All divisors of n in increasing order, including 1 and n."""
+    """All divisors of n in increasing order, including 1 and n; ValueError for n > DIVISORS_MAX_N.
+
+    n is factored by trial division over 2, 3 and the numbers 6j - 1 and
+    6j + 1, up to the square root of the part not yet factored, and the
+    divisors are the products of its prime powers. A prime just under the
+    bound takes about 3.3e5 divisions.
+    """
     n = _checked_n(n)
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+    if n > DIVISORS_MAX_N:
+        raise ValueError(f"divisor search needs n <= {DIVISORS_MAX_N}, got n={n}")
+    found, rest, limit = [1], n, math.isqrt(n)
+    factor, step = 2, 1  # 2, 3, 5, 7, 11, 13, ...: from 5 the steps alternate 2 and 4
+    while factor <= limit:
+        if rest % factor == 0:
+            powers = []
+            while rest % factor == 0:
+                rest //= factor
+                powers.append(factor * (powers[-1] if powers else 1))
+            found += [d * power for power in powers for d in found]
+            limit = math.isqrt(rest)
+        factor += step
+        step = 6 - step if factor > 5 else 2
+    if rest > 1:  # a prime above the square root of what was factored
+        found += [d * rest for d in found]
+    return sorted(found)

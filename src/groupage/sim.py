@@ -17,11 +17,12 @@ share its intervals Y, and source j's service time is S = 1 + j*F with F the
 group's flag (some source positive). A cycle's whole state is therefore its m
 group flags, and every per-source sum is affine in j:
 sum(Y*S) = sum(Y) + j*sum(Y*F). One accumulator draws the flags chunk by
-chunk and folds them, in cycle order, into exact integer per-group sums, the
-two per-interval pooled series of the standard error, and a count of cycles
-by their number of flagged groups, from which the sample cycle moments
-follow exactly. No run keeps its flags; the only per-source array is the
-(cycles, m, k) uniform draw of a chunk.
+chunk and folds them, in cycle order, into exact integer per-group sums,
+nine exact integer sums from which the standard error follows, and a count
+of cycles by their number of flagged groups, from which the sample cycle
+moments follow exactly. No run keeps its flags or any per-cycle series, so a
+run's memory is one chunk's; the only per-source array is the (cycles, m, k)
+uniform draw of a chunk.
 
 An interval between two all-clear cycles has Y = m and F = 0 in every group,
 so the fold only counts it; its work follows the intervals that touch a
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -89,90 +91,152 @@ def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[n
         yield flags.reshape(cycles, m)
 
 
-def _fold(config: SystemConfig, num_cycles: int, flag_chunks: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _add_exact_sums(totals: list[int], deviations: np.ndarray, lead, follow) -> None:
+    """Add the exact sums of a chunk's (2, rows) int64 values (u, v), 0 <= u <= v, into nine Python ints.
+
+    In order: sum u, sum v; the sums of uu, uv and vv over the rows; and of
+    uu, uv, vu and vv over the lag pairs, row lead[i] then row follow[i].
+    Each sum of products is at most max v * sum v, so while that is below
+    2^63 every int64 dot is exact. Otherwise the values are split into limbs
+    of (62 - bit length of rows) // 2 bits, whose dots over the rows stay
+    below 2^62, and the limb dots are added with their shifts.
+    """
+    rows = deviations.shape[1]
+    top = int(deviations[1].max())
+    sums = deviations.sum(axis=1).tolist()  # exact while rows * top < 2^63
+    if rows * top < 2**63 and top * sums[1] < 2**63:
+        limbs = [(0, deviations)]
+    else:
+        width = (62 - rows.bit_length()) // 2
+        mask = (1 << width) - 1
+        limbs = [(shift, (deviations >> shift) & mask) for shift in range(0, top.bit_length(), width)]
+        sums = [sum(int(part[i].sum()) << shift for shift, part in limbs) for i in (0, 1)]
+    totals[0] += sums[0]
+    totals[1] += sums[1]
+    limbs = [(shift, part, part[:, lead], part[:, follow]) for shift, part in limbs]
+    for shift, (u, v), (u_lead, v_lead), _ in limbs:
+        for other, (x, z), _, (x_follow, z_follow) in limbs:
+            products = (u @ x, u @ z, v @ z, u_lead @ x_follow, u_lead @ z_follow, v_lead @ x_follow, v_lead @ z_follow)
+            for i, value in enumerate(products, start=2):
+                totals[i] += int(value) << (shift + other)
+
+
+def _fold_block(block: np.ndarray, in_block, carry: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """One block of cycles' group flags: (counts of its cycle lengths, carry after it, per-group sums, pooled row sums).
+
+    One flat cumsum of the block's group times 1 + k*F, less each time, gives
+    the generation instants, and Y is their difference from row to row, plus
+    the carry on the first row. Over the busy rows in_block it sums Y, Y^2
+    and Y*F per group, and per row the pooled sums over all n sources of Y
+    and of the double area Y^2 + 2*Y*S, k*sum Y and
+    k*sum (Y^2 + 2Y + (k+1)*Y*F). Its (rows, m) arrays die on return.
+    """
+    group_times = block.astype(np.int64)
+    group_times *= k
+    group_times += 1
+    instants = np.cumsum(group_times).reshape(block.shape)
+    instants -= group_times
+    ends = instants[:, -1] + group_times[:, -1]
+    intervals = group_times  # the group times are spent; the intervals take their memory
+    intervals[0] = instants[0] + carry
+    np.subtract(instants[1:], instants[:-1], out=intervals[1:])
+    length_counts = np.bincount(ends - instants[:, 0])
+    carry = ends[-1] - instants[-1]  # a block's last row is the chunk's, or all clear
+    del instants  # before the reductions' temporaries
+    y, f = intervals[in_block], block[in_block].astype(np.int64)  # an int64 F makes the products below faster
+    per_group = np.stack((np.einsum("ij->j", y), np.einsum("ij,ij->j", y, y), np.einsum("ij,ij->j", y, f)))
+    pooled = np.empty((2, len(y)), dtype=np.int64)
+    row_y, row_area = pooled
+    np.einsum("ij->i", y, out=row_y)
+    np.einsum("ij,ij->i", y, f, out=row_area)
+    row_area *= k + 1
+    row_area += 2 * row_y
+    row_area += np.einsum("ij,ij->i", y, y)
+    pooled *= k
+    return length_counts, carry, per_group, pooled
+
+
+def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray]) -> tuple:
     """Exact integer sums of a run's intervals, from its group flags fed in cycle order.
 
-    Over the N-1 complete intervals it keeps per-group sums of Y, Y^2 and Y*F
-    and, per interval, the pooled sums over all n sources of Y and of the
-    double area Y^2 + 2*Y*S = sum over groups of k*Y^2 + 2k*Y + k(k+1)*Y*F.
-    It counts all N cycles by their length m + k*F.
+    Over the N-1 complete intervals it keeps per-group sums of Y, Y^2 and Y*F,
+    and it counts all N cycles by their length m + k*F. The standard error
+    needs each interval's pooled sums over all n sources of Y and of the
+    double area. The fold keeps neither: it takes their deviations u and v
+    from a quiet row's k*m^2 and k*m^2*(m + 2), with 0 <= u <= v since every
+    Y >= m, and adds up as Python ints sum u, sum v, the sums of uu, uv and
+    vv, and the lag-1 sums of u_i*u_(i+1), u_i*v_(i+1), v_i*u_(i+1) and
+    v_i*v_(i+1). It also keeps (u, v) of the run's first and last intervals.
+    Its memory is one chunk's, whatever the number of cycles.
 
     Row c of a chunk is the interval that cycle c closes. When cycles c-1
     and c are both all clear, the row is quiet: it adds m and m^2 to each
-    group's sums of Y and Y^2 and k*m^2 and k*m^2*(m + 2) to the pooled
-    series, and is only counted. Busy rows are computed on a block of
-    cycles, the whole chunk or, when few rows can be busy, a gather of the
-    busy rows, the cycles before them and the flagged cycles: one flat
-    cumsum of the block's group times 1 + k*F, less each time, gives the
-    generation instants, and Y is their difference from row to row. Across
+    group's sums of Y and Y^2, has u = v = 0, and is only counted. Busy rows
+    are computed by _fold_block on a block of cycles, the whole chunk or,
+    when few rows can be busy, a gather of the busy rows, the cycles before
+    them and the flagged cycles. A whole chunk takes its lag products from
+    slices; a gather takes them over its rows that follow each other. Across
     chunks it carries the time from each group's last generation instant to
-    the chunk's end, and whether the chunk's last cycle had a flag.
+    the chunk's end, whether the chunk's last cycle had a flag, and (u, v) of
+    the chunk's last row.
     """
     m, k = config.m, config.k
     sums = np.zeros((3, m), dtype=np.int64)  # per group: sum Y, sum Y^2, sum Y*F
     length_counts = np.zeros(m * (k + 1) + 1, dtype=np.int64)
-    # by closing cycle: pooled sum of Y and of the double area, preset to a quiet row's
-    pooled = np.empty((2, num_cycles), dtype=np.int64)
-    pooled[:] = k * m * m
-    pooled[1] *= m + 2  # in int64, as the busy rows' sums
+    quiet_row = np.array([[k * m * m], [k * m * m * (m + 2)]], dtype=np.int64)
+    deviation_sums = [0] * 9  # as _add_exact_sums orders them
+    first = tail = (0, 0)  # (u, v) of the run's first interval and of the last chunk's last row
     carry = np.arange(m, 0, -1, dtype=np.int64)  # as after an all-clear cycle
     tail_flagged, busy_rows, end = False, 0, 0
     for flags in flag_chunks:
         start, end = end, end + len(flags)
-        first = 1 if start == 0 else 0  # cycle 0 closes no interval
+        first_row = 1 if start == 0 else 0  # cycle 0 closes no interval
         hits = np.count_nonzero(flags)  # the chunk has at most 2*hits + tail_flagged busy rows
         if 2 * hits + tail_flagged < _GATHER_SHARE * len(flags):
             flagged = np.zeros(len(flags) + 1, dtype=bool)  # cycle c at c + 1, the previous chunk's last at 0
             flagged[0] = tail_flagged
             flagged[np.flatnonzero(flags) // m + 1] = True
             busy = flagged[1:] | flagged[:-1]
-            busy[:first] = False
+            busy[:first_row] = False
             needed = busy | flagged[1:]
             needed[:-1] |= busy[1:]
             block_rows = np.flatnonzero(needed)
             in_block = np.flatnonzero(busy[block_rows])  # where the busy rows sit in the block
             in_chunk = block_rows[in_block]
             block = flags[block_rows]
+            lead = np.flatnonzero(np.diff(in_chunk) == 1)
+            follow = lead + 1
         else:
-            block, in_block, in_chunk = flags, slice(first, None), slice(first, None)
+            block, in_block, in_chunk = flags, slice(first_row, None), range(first_row, len(flags))
+            lead, follow = slice(None, -1), slice(1, None)
         tail_flagged = bool(flags[-1].any())
-        if not len(block):
+        if len(block):
+            counts, carry, per_group, deviations = _fold_block(block, in_block, carry, k)
+            length_counts[: len(counts)] += counts
+            sums += per_group
+        if not len(in_chunk):
+            tail = (0, 0)
             continue
-        group_times = block.astype(np.int64)
-        group_times *= k
-        group_times += 1
-        instants = np.cumsum(group_times).reshape(block.shape)
-        instants -= group_times
-        intervals = np.empty_like(instants)
-        intervals[0] = instants[0] + carry
-        np.subtract(instants[1:], instants[:-1], out=intervals[1:])
-        ends = instants[:, -1] + group_times[:, -1]
-        counts = np.bincount(ends - instants[:, 0])
-        length_counts[: len(counts)] += counts
-        carry = ends[-1] - instants[-1]  # a block's last row is the chunk's, or all clear
-        y, w = intervals[in_block], group_times[in_block]
-        busy_rows += len(y)
-        column_y = np.einsum("ij->j", y)
-        sums[0] += column_y
-        sums[1] += np.einsum("ij,ij->j", y, y)
-        sums[2] += (np.einsum("ij,ij->j", y, w) - column_y) // k  # w = 1 + k*F
-        row_y = np.einsum("ij->i", y)
-        row_area = k * np.einsum("ij,ij->i", y, y) + (k - 1) * row_y + (k + 1) * np.einsum("ij,ij->i", y, w)
-        pooled[:, start:end][:, in_chunk] = k * row_y, row_area
-    quiet = num_cycles - 1 - busy_rows
+        busy_rows += len(in_chunk)
+        deviations -= quiet_row
+        _add_exact_sums(deviation_sums, deviations, lead, follow)
+        if in_chunk[0] == 0:  # the chunk's first row follows the previous chunk's last
+            head = deviations[:, 0].tolist()
+            deviation_sums[5:] = [total + a * b for total, (a, b) in zip(deviation_sums[5:], product(tail, head))]
+        if start + in_chunk[0] == 1:
+            first = tuple(deviations[:, 0].tolist())
+        tail = tuple(deviations[:, -1].tolist()) if in_chunk[-1] == len(flags) - 1 else (0, 0)
+        del deviations  # so that the next chunk's draw and fold do not overlap it
+    quiet = end - 1 - busy_rows
     sums[0] += quiet * m
     sums[1] += quiet * m * m
-    length_counts[m] += num_cycles - length_counts.sum()
-    return sums, length_counts[m::k].copy(), pooled[0, 1:], pooled[1, 1:]
+    length_counts[m] += end - length_counts.sum()
+    return sums, length_counts[m::k].copy(), end - 1, deviation_sums, first, tail
 
 
-def _estimate(config: SystemConfig, num_cycles: int, flag_chunks: Iterable[np.ndarray]) -> AgeSummary:
-    """Renewal-reward age estimate from a run's group flags, fed in cycle order.
-
-    _fold returns before the standard error builds its two float64 series, so
-    its last chunk's arrays are freed by then.
-    """
-    sums, flag_counts, pooled_intervals, pooled_double_areas = _fold(config, num_cycles, flag_chunks)
+def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray]) -> AgeSummary:
+    """Renewal-reward age estimate from a run's group flags, fed in cycle order."""
+    sums, flag_counts, *standard_error_sums = _fold(config, flag_chunks)
     k = config.k
     interval_sum, interval_sq_sum, interval_flag_sum = sums[:, :, None]
     interval_service_sum = interval_sum + np.arange(1, k + 1, dtype=np.int64) * interval_flag_sum
@@ -180,42 +244,71 @@ def _estimate(config: SystemConfig, num_cycles: int, flag_chunks: Iterable[np.nd
     return AgeSummary(
         per_source_age=per_source,
         overall_age=float(per_source.mean()),
-        standard_error=_pooled_standard_error(pooled_intervals, pooled_double_areas, config.n),
+        standard_error=_pooled_standard_error(config, *standard_error_sums),
         flag_counts=flag_counts,
     )
 
 
-def _pooled_standard_error(pooled_intervals: np.ndarray, pooled_double_areas: np.ndarray, n: int) -> float:
-    """Delta-method standard error of the overall age from per-interval pooled sums.
+def _rounded_sqrt_ratio(x: int, d: int) -> float:
+    """sqrt(max(x, 0)) / d for integers x and d > 0, rounded once to the nearest float."""
+    if x <= 0:
+        return 0.0
+    shift = max(0, 56 + d.bit_length() - (x.bit_length() - 1) // 2)  # the quotient gets at least 57 bits
+    scaled = x << (2 * shift)
+    root = math.isqrt(scaled)
+    quotient, remainder = divmod(root, d)
+    # the dropped part lies below the rounding bit, so a set last bit stands for it and breaks no tie wrongly
+    inexact = remainder != 0 or root * root != scaled
+    return math.ldexp(float(quotient | inexact), -shift)
 
-    Residuals of the pooled ratio estimate are exactly mean-zero; consecutive
-    intervals share one cycle of randomness, so the variance of their mean
-    includes the lag-1 autocovariance. The result is approximate: per-source
+
+def _pooled_standard_error(config: SystemConfig, intervals: int, deviation_sums: list[int], first, last) -> float:
+    """Delta-method standard error of the overall age, rounded once from _fold's exact sums.
+
+    With y_i and a_i interval i's pooled length and double area, and S_y and
+    S_a their totals, the residuals of the pooled ratio estimate are
+    R_i / (2n*S_y) with R_i = S_y*a_i - S_a*y_i, exactly mean-zero.
+    Consecutive intervals share one cycle of randomness, so the variance of
+    their mean includes the lag-1 autocovariance. The delta-method SE,
+    sqrt((gamma0 + 2*gamma1) / (N-1)) over the mean pooled interval, is then
+    sqrt(max(sum R_i^2 + 2*sum R_i*R_(i+1), 0)) / (2*S_y^2): n and N-1
+    cancel. On deviations from a quiet row (c_y, c_a), R_i = base + rho_i
+    with base = S_y*c_a - S_a*c_y and rho_i = S_y*v_i - S_a*u_i, and
+    sum rho_i = -(N-1)*base, so both sums of R follow from the deviation sums
+    and the first and last intervals. The estimator is approximate: per-source
     ratios are combined as if their denominators shared the common mean.
     """
-    count = len(pooled_intervals)
-    total_intervals = int(pooled_intervals.sum())
-    total_double_area = float(pooled_double_areas.sum())
-    pooled_age = total_double_area / (2.0 * total_intervals)
-    residuals = np.multiply(pooled_double_areas, 0.5)
-    residuals -= np.multiply(pooled_intervals, pooled_age)
-    residuals /= n
-    gamma0 = float(residuals @ residuals) / count
-    gamma1 = float(residuals[:-1] @ residuals[1:]) / count if count > 1 else 0.0
-    variance = max(gamma0 + 2.0 * gamma1, 0.0) / count
-    mean_interval = total_intervals / (n * count)
-    return math.sqrt(variance) / mean_interval
+    m, k = config.m, config.k
+    quiet_y, quiet_area = k * m * m, k * m * m * (m + 2)
+    sum_u, sum_v, *products = deviation_sums
+    s_y = intervals * quiet_y + sum_u
+    s_a = intervals * quiet_area + sum_v
+    base = s_y * quiet_area - s_a * quiet_y
+
+    def rho_products(uu: int, uv: int, vu: int, vv: int) -> int:
+        return s_a * s_a * uu - s_y * s_a * (uv + vu) + s_y * s_y * vv
+
+    def rho(u: int, v: int) -> int:
+        return s_y * v - s_a * u
+
+    uu, uv, vv, *lagged_products = products
+    squares = rho_products(uu, uv, uv, vv) - intervals * base * base
+    lagged = rho_products(*lagged_products) - (intervals + 1) * base * base - base * (rho(*first) + rho(*last))
+    return _rounded_sqrt_ratio(squares + 2 * lagged, 2 * s_y * s_y)
 
 
 def _check_int64_totals(config: SystemConfig, num_cycles: int) -> None:
-    # The largest int64 total is the pooled double area of the N-1 intervals: a
-    # group's interval Y spans m group times, so Y <= m(k+1), and it adds
-    # k*Y^2 + 2k*Y + k(k+1)*Y*F <= k*Y^2 + (k^2+3k)*Y to its row (p = 1 attains
-    # this). The pooled Y, each group's Y^2 and the counted L^2 <= N*Y^2 stay below.
+    # The sums that stay int64: a chunk's per-row pooled double area, before it
+    # is split into Python ints, and two totals over the run, each group's sum
+    # of Y^2 over the N-1 intervals and empirical_moments' sum of L^2 over the
+    # N cycles. A group's interval Y spans m group times and a cycle's length L
+    # m of them, so both are <= m(k+1); a row adds k*Y^2 + 2k*Y + k(k+1)*Y*F
+    # <= k*Y^2 + (k^2+3k)*Y per group (p = 1 attains both bounds). The other
+    # int64 sums stay below these.
     m, k = config.m, config.k
     y = m * (k + 1)
-    if (num_cycles - 1) * m * (k * y * y + (k * k + 3 * k) * y) > np.iinfo(np.int64).max:
-        raise ValueError(f"{num_cycles} cycles of m={m} groups can overflow the standard error's int64 sums")
+    if max(m * (k * y * y + (k * k + 3 * k) * y), num_cycles * y * y) > np.iinfo(np.int64).max:
+        raise ValueError(f"{num_cycles} cycles of m={m} groups can overflow the simulator's int64 sums")
 
 
 def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary:
@@ -224,15 +317,15 @@ def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary
     The N-1 complete per-source renewal intervals between generation instants
     feed the ratio estimator; the partial interval before the first generation
     is discarded. Cycles are drawn and folded in chunks of
-    max(1, CHUNK_DRAWS // n) cycles, so memory is one chunk plus O(num_cycles)
-    for the two pooled per-interval series. The random stream consumed and the
+    max(1, CHUNK_DRAWS // n) cycles, and nothing is kept per cycle, so memory
+    is one chunk's whatever num_cycles is. The random stream consumed and the
     estimates, to the last bit, do not depend on the chunk size. A run whose
     int64 sums could overflow is refused.
     """
     if num_cycles < 2:
         raise ValueError("age estimation requires at least 2 cycles")
     _check_int64_totals(config, num_cycles)
-    return _estimate(config, num_cycles, _flag_chunks(config, seed, num_cycles))
+    return _estimate(config, _flag_chunks(config, seed, num_cycles))
 
 
 def empirical_moments(config: SystemConfig, flag_counts: np.ndarray) -> MomentSet:

@@ -10,10 +10,10 @@ monotonicity of x * exp(x), the looped binomial convolution and the
 (2**n, m, k) status enumeration are the library's exact oracles as first
 written, the full flag trace and its per-cycle moments redo the streaming
 simulator's draw and sample moments from one (N, m, k) array, the
-standard error of a counted series is computed in exact rationals, and the
-per-source sampler, timeline views, estimator and cross-term correlation
-redo the simulator's work source by source on (N, m, k) arrays, with no use
-of the per-group shortcuts.
+standard errors of a counted series and of the pooled age ratio are
+computed in exact rationals, and the per-source sampler, timeline views,
+estimator and cross-term correlation redo the simulator's work source by
+source on (N, m, k) arrays, with no use of the per-group shortcuts.
 """
 
 from __future__ import annotations
@@ -278,25 +278,66 @@ def per_source_age_estimate(service_times: np.ndarray) -> tuple[np.ndarray, floa
     the N-1 complete intervals Y between them, each closed by an update with
     service time S, contribute area Y^2/2 + Y*S. The standard error is the
     delta method on the per-interval sums pooled over all sources, with the
-    lag-1 autocovariance of consecutive intervals. All sums are exact int64.
+    lag-1 autocovariance of consecutive intervals, in exact rationals. All
+    sums are exact int64.
     """
     _, m, k = service_times.shape
-    n = m * k
     intervals = np.diff(generation_instants(service_times), axis=0)  # (N-1, m, k)
     interval_sq = intervals * intervals
     interval_service = intervals * service_times[1:]
     per_source = (0.5 * interval_sq.sum(axis=0) + interval_service.sum(axis=0)) / intervals.sum(axis=0)
     pooled_intervals = intervals.sum(axis=(1, 2))
     pooled_double_areas = (interval_sq + 2 * interval_service).sum(axis=(1, 2))
-    total_intervals = int(pooled_intervals.sum())
-    pooled_age = float(pooled_double_areas.sum()) / (2.0 * total_intervals)
-    residuals = (0.5 * pooled_double_areas - pooled_age * pooled_intervals) / n
-    intervals_count = len(residuals)
-    gamma0 = float(residuals @ residuals) / intervals_count
-    gamma1 = float(residuals[:-1] @ residuals[1:]) / intervals_count if intervals_count > 1 else 0.0
-    variance = max(gamma0 + 2.0 * gamma1, 0.0) / intervals_count
-    mean_interval = total_intervals / (n * intervals_count)
-    return per_source, float(per_source.mean()), math.sqrt(variance) / mean_interval
+    se = exact_pooled_standard_error(pooled_intervals, pooled_double_areas, m * k)
+    return per_source, float(per_source.mean()), se
+
+
+def exact_pooled_standard_error(pooled_intervals, pooled_double_areas, n: int) -> float:
+    """Delta-method standard error of the pooled age ratio, in exact rationals, rounded once to a float.
+
+    Over the N-1 intervals with pooled lengths y_i and double areas a_i: the
+    residuals r_i = (a_i/2 - age*y_i)/n of the ratio age = sum a / (2 sum y),
+    gamma0 = sum r_i^2 / (N-1) and gamma1 = sum r_i*r_(i+1) / (N-1), the
+    variance max(gamma0 + 2*gamma1, 0) / (N-1), and its square root over the
+    mean interval per source, sum y / (n*(N-1)).
+    """
+    lengths = [int(v) for v in pooled_intervals]
+    areas = [int(v) for v in pooled_double_areas]
+    count = len(lengths)
+    age = Fraction(sum(areas), 2 * sum(lengths))
+    residuals = [(Fraction(a, 2) - age * y) / n for y, a in zip(lengths, areas)]
+    gamma0 = sum(r * r for r in residuals) / count
+    gamma1 = sum(r * s for r, s in zip(residuals, residuals[1:])) / count
+    variance = max(gamma0 + 2 * gamma1, Fraction(0)) / count
+    mean_interval = Fraction(sum(lengths), n * count)
+    return nearest_float_sqrt(variance / (mean_interval * mean_interval))
+
+
+def _even_significand(x: float) -> bool:
+    return int(math.frexp(x)[0] * 2**53) % 2 == 0
+
+
+def nearest_float_sqrt(square: Fraction) -> float:
+    """The float nearest to sqrt(square), ties to even, for a rational square >= 0.
+
+    A 60-digit decimal square root gives a guess; the guess then steps to the
+    float whose rounding interval holds the root, comparing the squares of
+    the interval's ends with the square exactly.
+    """
+    if square == 0:
+        return 0.0
+    with localcontext() as context:
+        context.prec = 60
+        guess = float((Decimal(square.numerator) / Decimal(square.denominator)).sqrt())
+    while True:
+        below = (Fraction(guess) + Fraction(math.nextafter(guess, 0.0))) / 2
+        above = (Fraction(guess) + Fraction(math.nextafter(guess, math.inf))) / 2
+        if square < below * below or (square == below * below and not _even_significand(guess)):
+            guess = math.nextafter(guess, 0.0)
+        elif square > above * above or (square == above * above and not _even_significand(guess)):
+            guess = math.nextafter(guess, math.inf)
+        else:
+            return guess
 
 
 def per_source_cross_term(service_times: np.ndarray) -> float:

@@ -253,3 +253,26 @@ def test_enumeration_oracle_memory_at_twenty_sources():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_enumeration_oracle_peak_memory_is_one_block():
+    tracemalloc.start()
+    try:
+        enumeration_oracle(validate_config(20, 0.01, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "n,k,p",
+    [(20, 20, 0.05), (20, 1, 0.3), (20, 4, 1e-3), (20, 2, 0.9), (18, 1, 0.5), (18, 6, 0.05), (18, 9, 1e-6)],
+)
+def test_enumeration_matches_mpmath_past_one_block(n, k, p):
+    # 2**18 and 2**20 codes are summed over blocks of 2**16; one dot over all
+    # 2**20 missed this bound by 2.8e-13 at (20, 20, 0.05)
+    moments = enumeration_oracle(validate_config(n, p, k))
+    fields = (moments.mean_cycle, moments.second_moment_cycle, moments.mean_service, moments.average_age)
+    for value, exact in zip(fields, mpmath_moments(n, p, k)):
+        assert abs(value - exact) <= 1e-13 * exact, (n, k, p, fields)

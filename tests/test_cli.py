@@ -276,8 +276,6 @@ def test_over_budget_input_exits_one_before_simulating(capsys):
     refuse = mock.Mock(side_effect=AssertionError("ran past the memory budget check"))
     with mock.patch.object(sim, "simulate_age", refuse), mock.patch.object(analytic, "convolution_oracle", refuse):
         for command, n, k, cycles in [
-            ("simulate", 1, 1, 10**12),  # the standard error's per-cycle series
-            ("validate", 1, 1, 10**12),
             ("validate", 10**9, 1, 2),  # the convolution's m + 1 values
             ("simulate", 4 * 10**8, 40_000, 2),  # one chunk's draw of n uniforms
             ("validate", 4 * 10**8, 40_000, 2),
@@ -286,6 +284,18 @@ def test_over_budget_input_exits_one_before_simulating(capsys):
             assert main(argv) == EXIT_USAGE
             assert "budget" in capsys.readouterr().err
     assert refuse.call_count == 0
+
+
+def test_cycle_count_alone_does_not_pass_the_memory_budget(capsys):
+    # the simulator keeps no per-cycle series, so its working set is one chunk
+    # whatever --cycles is; this input was once refused at about 1027 MiB
+    cfg = validate_config(1, 0.3, 1)
+    small = sim.simulate_age(cfg, 2, seed=0)
+    with mock.patch.object(sim, "simulate_age", return_value=small) as run:
+        code = main(["simulate", "--n", "1", "--p", "0.3", "--k", "1", "--cycles", "16400000", "--seeds", "0"])
+    assert code == EXIT_OK
+    assert "budget" not in capsys.readouterr().err
+    run.assert_called_once_with(cfg, 16_400_000, 0)
 
 
 def test_int64_overflowing_input_exits_one_before_any_output(capsys):
@@ -342,6 +352,14 @@ def test_standard_error_prints_like_the_exact_value_at_a_rounding_tie():
     assert exact == float(Fraction(1, 1600))
     assert abs(se - exact) <= math.ulp(exact)
     assert f"{3.0 * se:.3g}" == f"{3.0 * exact:.3g}" == "0.00187"
+
+
+@pytest.mark.parametrize("command", ["age-vs-k", "compare-metrics", "kstar-vs-p"])
+def test_n_past_the_divisor_bound_exits_one(command, capsys):
+    assert main([command, "--n", str(10**12 + 1), "--p-list", "0.1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n <= 1000000000000" in captured.err
 
 
 def test_unwritable_output_exits_io(tmp_path):

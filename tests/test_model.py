@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from groupage.model import all_clear_probability, divisors, validate_config
+from groupage.model import DIVISORS_MAX_N, SystemConfig, divisors, validate_config
 
 from oracles import brute_force_divisors, group_outcome, sample_statuses, source_service_time
 
@@ -66,9 +66,11 @@ def test_validate_config_rejects_out_of_range(n, p, k):
 
 
 def test_all_clear_probability_small_p_precision():
-    # (1-p)**k loses digits for tiny p; log1p route must not
+    # (1-p)**k and 1 - q lose digits for tiny p; the log1p route must not
     p, k = 1e-12, 1000
-    assert all_clear_probability(p, k) == pytest.approx(math.exp(k * math.log1p(-p)), rel=0)
+    cfg = SystemConfig(1000, p, k)
+    assert cfg.q == math.exp(k * math.log1p(-p))
+    assert cfg.qbar == -math.expm1(k * math.log1p(-p))
 
 
 def test_divisors_examples():
@@ -80,6 +82,14 @@ def test_divisors_examples():
 def test_divisors_rejects_nonpositive():
     with pytest.raises(ValueError):
         divisors(0)
+
+
+def test_divisors_fails_fast_only_above_the_bound():
+    assert DIVISORS_MAX_N == 10**12
+    assert divisors(10**12) == sorted(2**a * 5**b for a in range(13) for b in range(13))
+    assert divisors(999_999_999_989) == [1, 999_999_999_989]  # the largest prime under the bound
+    with pytest.raises(ValueError, match="n <= 1000000000000"):
+        divisors(10**12 + 1)
 
 
 @given(st.integers(min_value=1, max_value=3000))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from oracles import (
     delivery_offsets,
     group_outcome,
     group_times,
+    nearest_float_sqrt,
     oracle_flags,
     per_source_age_estimate,
     per_source_cross_term,
@@ -83,24 +85,34 @@ def test_simulate_age_is_deterministic_per_seed():
     assert not np.array_equal(a.flag_counts, c.flag_counts)
 
 
-def _worst_double_area(config, num_cycles):
-    # every interval of every group at its longest, Y = m(k+1), closed by a flagged update
+def _longest_interval(config):
+    return config.m * (config.k + 1)  # every group of the m it spans flagged
+
+
+def _worst_row_area(config):
+    # every group's interval at its longest, Y = m(k+1), closed by a flagged update
     m, k = config.m, config.k
-    y = m * (k + 1)
-    return (num_cycles - 1) * m * (k * y * y + (k * k + 3 * k) * y)
+    y = _longest_interval(config)
+    return m * (k * y * y + (k * k + 3 * k) * y)
 
 
 def test_int64_bound_is_what_an_all_flagged_run_sums():
     cfg = validate_config(12, 1.0, 3)
-    _, _, _, double_areas = sim._fold(cfg, 50, sim._flag_chunks(cfg, 0, 50))
-    assert int(double_areas.sum()) == _worst_double_area(cfg, 50)
+    m, k = cfg.m, cfg.k
+    sums, flag_counts, intervals, deviation_sums, _, _ = sim._fold(cfg, sim._flag_chunks(cfg, 0, 50))
+    assert intervals == 49
+    assert 49 * k * m * m * (m + 2) + deviation_sums[1] == 49 * _worst_row_area(cfg)  # every row's double area
+    assert (sums[1] == 49 * _longest_interval(cfg) ** 2).all()  # each group's sum of Y^2
+    assert flag_counts[m] == 50  # every cycle lasts m(k+1), so its L^2 is at the bound
 
 
 @pytest.mark.parametrize("n,k", [(1000, 1), (120, 4), (6, 6), (1, 1)])
 def test_int64_check_refuses_exactly_past_the_bound(n, k):
     cfg = validate_config(n, 0.1, k)
-    longest = (2**63 - 1) // _worst_double_area(cfg, 2) + 1  # the most cycles that fit
-    assert _worst_double_area(cfg, longest) <= 2**63 - 1 < _worst_double_area(cfg, longest + 1)
+    square = _longest_interval(cfg) ** 2
+    longest = (2**63 - 1) // square  # the most cycles whose sum of L^2 fits
+    assert _worst_row_area(cfg) <= 2**63 - 1
+    assert longest * square <= 2**63 - 1 < (longest + 1) * square
     sim._check_int64_totals(cfg, longest)
     with pytest.raises(ValueError, match="int64"):
         sim._check_int64_totals(cfg, longest + 1)
@@ -108,9 +120,13 @@ def test_int64_check_refuses_exactly_past_the_bound(n, k):
 
 def test_simulate_age_refuses_a_run_whose_sums_overflow():
     # this run has no flagged group, so its exact SE is 0; the overflowed
-    # int64 series once gave 512409.557603
-    with pytest.raises(ValueError, match="int64"):
-        simulate_age(validate_config(3_000_000, 1e-9, 1), 3, seed=0)
+    # int64 series once gave 512409.557603. One all-flagged row's double
+    # area alone, about 1.1e20, is past int64, so any cycle count is refused
+    cfg = validate_config(3_000_000, 1e-9, 1)
+    assert _worst_row_area(cfg) > 2**63 - 1
+    for num_cycles in (2, 3):
+        with pytest.raises(ValueError, match="int64"):
+            simulate_age(cfg, num_cycles, seed=0)
 
 
 @settings(deadline=None, max_examples=40)
@@ -323,6 +339,103 @@ def test_streaming_peak_memory_is_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def traced_peak(function, *args) -> int:
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_does_not_grow_with_the_cycle_count():
+    # no group is flagged at this p, so a run is its draws, in chunks of
+    # CHUNK_DRAWS cycles; nothing may be kept per cycle
+    cfg = validate_config(1, 1e-9, 1)
+    two_chunks = traced_peak(simulate_age, cfg, 2 * sim.CHUNK_DRAWS, 0)
+    long_run = traced_peak(simulate_age, cfg, 1_000_000, 0)
+    assert long_run <= two_chunks + 2**20
+    assert long_run < 8 * 2**20
+
+
+@st.composite
+def deviation_chunks(draw):
+    """(2, rows) int64 values 0 <= u <= v, as large as the chunk's row count allows, and lag pairs."""
+    rows = draw(st.integers(min_value=1, max_value=300))
+    bits = draw(st.sampled_from([1, 8, 20, 31, 40, 62]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    v = rng.integers(0, 2**bits, size=rows, dtype=np.int64)
+    v[rng.integers(rows)] = 2**bits - 1  # the chunk maximum sits at the top of the range
+    u = (v * rng.random(rows)).astype(np.int64)
+    if draw(st.booleans()):  # a whole chunk: every row is followed by the next
+        lead, follow = slice(None, -1), slice(1, None)
+    else:  # a gather: lag pairs only where rows of the chunk follow each other
+        chunk_rows = np.sort(rng.choice(3 * rows, size=rows, replace=False))
+        lead = np.flatnonzero(np.diff(chunk_rows) == 1)
+        follow = lead + 1
+    return np.stack((np.minimum(u, v), v)), lead, follow
+
+
+@settings(deadline=None, max_examples=200)
+@given(deviation_chunks())
+def test_exact_sums_equal_python_integer_sums(case):
+    deviations, lead, follow = case
+    u, v = ([int(x) for x in row] for row in deviations)
+    leads = range(len(u))[lead] if isinstance(lead, slice) else lead.tolist()
+    follows = range(len(u))[follow] if isinstance(follow, slice) else follow.tolist()
+    lagged = list(zip(leads, follows))
+    expected = [
+        sum(u),
+        sum(v),
+        sum(a * a for a in u),
+        sum(a * b for a, b in zip(u, v)),
+        sum(b * b for b in v),
+        sum(u[i] * u[j] for i, j in lagged),
+        sum(u[i] * v[j] for i, j in lagged),
+        sum(v[i] * u[j] for i, j in lagged),
+        sum(v[i] * v[j] for i, j in lagged),
+    ]
+    totals = [0] * 9
+    sim._add_exact_sums(totals, deviations, lead, follow)
+    assert totals == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=0, max_value=2**300), st.integers(min_value=1, max_value=2**150))
+def test_standard_error_rounds_its_square_root_once(x, d):
+    assert sim._rounded_sqrt_ratio(x, d) == nearest_float_sqrt(Fraction(x, d * d))
+    square = x * x  # a root that is exact
+    assert sim._rounded_sqrt_ratio(square, d) == nearest_float_sqrt(Fraction(square, d * d)) == x / d
+
+
+def _rows_past_one_int64_dot(cfg):
+    # a whole chunk's rows, each with the all-flagged double area's deviation v
+    rows = sim._cycles_per_chunk(cfg)
+    v = _worst_row_area(cfg) - cfg.k * cfg.m**2 * (cfg.m + 2)
+    return rows * v * v
+
+
+def test_all_flagged_run_past_one_int64_dot_has_exact_age_and_zero_error():
+    cfg = validate_config(900, 1.0, 1)  # m = 900: v is about 2.2e9 on every row
+    assert _rows_past_one_int64_dot(cfg) > 2**63  # one dot over a chunk's rows would overflow
+    summary = simulate_age(cfg, 2 * sim._cycles_per_chunk(cfg) + 5, seed=0)
+    m, k = cfg.m, cfg.k
+    assert summary.standard_error == 0.0
+    assert (summary.per_source_age[:, 0] == m * (k + 1) / 2 + 2).all()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, None])
+def test_run_past_one_int64_dot_equals_per_source_reference(chunk):
+    cfg = validate_config(2000, 0.5, 1)  # v up to about 1e10 on 6 rows
+    assert _rows_past_one_int64_dot(cfg) > 2**63
+    per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, 7, seed=4))
+    summary = simulate_age_in_chunks(cfg, 7, 4, chunk)
+    assert np.array_equal(summary.per_source_age, per_source)
+    assert summary.overall_age == overall
+    assert summary.standard_error == se > 0.0
 
 
 def test_simulate_age_agrees_with_model_sampling_ops():
