@@ -16,13 +16,16 @@ All k sources of a group are generated when the group's window opens, so they
 share its intervals Y, and source j's service time is S = 1 + j*F with F the
 group's flag (some source positive). A cycle's whole state is therefore its m
 group flags, and every per-source sum is affine in j:
-sum(Y*S) = sum(Y) + j*sum(Y*F). One accumulator draws the flags chunk by
+sum(Y*S) = sum(Y) + j*sum(Y*F). A group's k statuses enter only through its
+flag, which is set with probability qbar = 1 - (1-p)^k independently of
+every other group and cycle, so the simulator draws one uniform per group
+and cycle, never a source's status. One accumulator draws the flags chunk by
 chunk and folds them, in cycle order, into exact integer per-group sums,
 nine exact integer sums from which the standard error follows, and a count
 of cycles by their number of flagged groups, from which the sample cycle
-moments follow exactly. No run keeps its flags or any per-cycle series, so a
-run's memory is one chunk's; the only per-source array is the (cycles, m, k)
-uniform draw of a chunk.
+moments follow exactly. No run keeps its flags or any per-cycle series, and
+no array is per source, so a run's memory is one chunk's of (cycles, m)
+group arrays.
 
 An interval between two all-clear cycles has Y = m and F = 0 in every group,
 so the fold only counts it; its work follows the intervals that touch a
@@ -45,8 +48,8 @@ __all__ = ["AgeSummary", "empirical_moments", "simulate_age"]
 
 from .analytic import MomentSet
 
-# Uniform draws per chunk (2 MB of float64); a chunk holds max(1, CHUNK_DRAWS // n) cycles.
-# Larger chunks measured no faster, and at k = 1 a chunk's per-group arrays are as long as its draws.
+# Uniform draws per chunk (2 MB of float64), one a group and cycle; a chunk holds
+# max(1, CHUNK_DRAWS // m) cycles. Larger chunks measured no faster.
 CHUNK_DRAWS = 2**18
 # _fold gathers a chunk's busy rows when at most this share of its rows can be busy, and
 # otherwise takes the whole chunk. Measured on 2 vCPUs (numpy 2.4), the two cost the same
@@ -69,26 +72,22 @@ class AgeSummary:
 
 
 def _cycles_per_chunk(config: SystemConfig) -> int:
-    return max(1, CHUNK_DRAWS // config.n)
+    return max(1, CHUNK_DRAWS // config.m)
 
 
 def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[np.ndarray]:
     """Group flags of num_cycles seeded cycles, (cycles, m) per chunk of up to _cycles_per_chunk cycles.
 
-    A chunk draws (cycles, m, k) uniforms and flags a group when any of its k
-    draws is below p, so the stream consumed does not depend on the chunking.
-    The flags equal (draws < p).any(axis=2); going through the positions of
-    the positive draws is several times faster for small k.
+    A group is flagged when its one uniform draw is below qbar, the chance
+    that some of its k sources is positive. The draws are taken in (cycle,
+    group) order, N*m of them, so the stream consumed does not depend on the
+    chunking. At k = 1, qbar is p (or one ulp from it), so the flags are a
+    draw of every source's status.
     """
     rng = np.random.default_rng(seed)
-    m, k = config.m, config.k
     chunk_cycles = _cycles_per_chunk(config)
     for start in range(0, num_cycles, chunk_cycles):
-        cycles = min(chunk_cycles, num_cycles - start)
-        positive = np.flatnonzero(rng.random((cycles, m, k)) < config.p)
-        flags = np.zeros(cycles * m, dtype=bool)
-        flags[positive // k] = True
-        yield flags.reshape(cycles, m)
+        yield rng.random((min(chunk_cycles, num_cycles - start), config.m)) < config.qbar
 
 
 def _add_exact_sums(totals: list[int], deviations: np.ndarray, lead, follow) -> None:
@@ -317,7 +316,7 @@ def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary
     The N-1 complete per-source renewal intervals between generation instants
     feed the ratio estimator; the partial interval before the first generation
     is discarded. Cycles are drawn and folded in chunks of
-    max(1, CHUNK_DRAWS // n) cycles, and nothing is kept per cycle, so memory
+    max(1, CHUNK_DRAWS // m) cycles, and nothing is kept per cycle, so memory
     is one chunk's whatever num_cycles is. The random stream consumed and the
     estimates, to the last bit, do not depend on the chunk size. A run whose
     int64 sums could overflow is refused.

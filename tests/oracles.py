@@ -9,7 +9,9 @@ bisection solver checks the Lambert W iteration against nothing but
 monotonicity of x * exp(x), the looped binomial convolution and the
 (2**n, m, k) status enumeration are the library's exact oracles as first
 written, the full flag trace and its per-cycle moments redo the streaming
-simulator's draw and sample moments from one (N, m, k) array, the
+simulator's fold and sample moments from one (N, m, k) per-source draw, the
+50-digit binomial law of a cycle's flagged groups and the chi-square tail
+judge the simulator's own one-draw-a-group flags, the
 standard errors of a counted series and of the pooled age ratio are
 computed in exact rationals, and the per-source sampler, timeline views,
 estimator and cross-term correlation redo the simulator's work source by
@@ -210,9 +212,27 @@ def source_service_time(has_positive: bool, j: int) -> int:
 
 
 def oracle_flags(config, num_cycles: int, seed: int) -> np.ndarray:
-    """(N, m) group flags of a seeded run, from one (N, m, k) uniform draw: a group is flagged when any draw is below p."""
+    """(N, m) group flags of a seeded run, from one (N, m, k) uniform draw: a group is flagged when any draw is below p.
+
+    These are the flags of reference_service_times for the same seed. At
+    k = 1 they are also the simulator's, whose one draw a group is then a
+    draw of the source's status; for k > 1 the simulator's flags have the
+    same law but other values.
+    """
     rng = np.random.default_rng(seed)
     return (rng.random((num_cycles, config.m, config.k)) < config.p).any(axis=2)
+
+
+def flagged_group_count_pmf(m: int, k: int, p: float) -> list[float]:
+    """Binomial(m, 1 - (1-p)^k) pmf of a cycle's flagged-group count, from 50-digit mpmath."""
+    with mpmath.workdps(50):
+        flagged = 1 - (1 - mpmath.mpf(p)) ** k
+        return [float(mpmath.binomial(m, z) * flagged**z * (1 - flagged) ** (m - z)) for z in range(m + 1)]
+
+
+def chi_square_tail(statistic: float, dof: int) -> float:
+    """P(X >= statistic) for X chi-square with dof degrees of freedom (the regularized upper gamma)."""
+    return float(mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(statistic) / 2, mpmath.inf, regularized=True))
 
 
 def per_trace_moments(config, flags: np.ndarray) -> tuple[float, float, float, float]:
@@ -240,7 +260,7 @@ def exact_standard_error(values, counts) -> float:
 
 
 def reference_service_times(config, num_cycles: int, seed: int) -> np.ndarray:
-    """(N, m, k) per-source service times, drawn cycle by cycle from the simulator's seeded stream."""
+    """(N, m, k) per-source service times, drawn status by status, cycle by cycle, from a seeded stream."""
     rng = np.random.default_rng(seed)
     service = np.empty((num_cycles, config.m, config.k), dtype=np.int64)
     for cycle in range(num_cycles):

@@ -1,14 +1,16 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupage import analytic, sim
+from groupage import analytic, cli, sim
 from groupage.analytic import average_age
 from groupage.cli import (
     EXIT_ANALYTIC_MISMATCH,
@@ -16,7 +18,9 @@ from groupage.cli import (
     EXIT_OK,
     EXIT_STATISTICAL_MISMATCH,
     EXIT_USAGE,
+    SIMULATION_ALPHA,
     _standard_error,
+    _uniform_run_tail,
     main,
 )
 from groupage.model import divisors, validate_config
@@ -179,15 +183,73 @@ def test_usage_errors_exit_one():
     assert main(["nonsense"]) == EXIT_USAGE
 
 
-def test_validate_exits_statistical_mismatch_on_zero_variance_legs(capsys):
+def test_validate_passes_an_all_clear_run_by_its_exact_tail(capsys):
     # the README's example: at p = 1e-9 no group is flagged in 1000 cycles, so
-    # every simulation leg has a zero bound and misses its closed form
+    # every simulation leg has zero sample variance and sits just below its
+    # closed form; the run's chance q^(N*m) is about 0.99988, so it passes
     code = main(["validate", "--n", "120", "--p", "1e-9", "--k", "4", "--cycles", "1000", "--seeds", "0"])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_OK
+    assert "EXACT: simulation seed=0: no group flagged in 30000 group-cycles, two-sided tail 1 (level 0.0027)" in lines
+    legs = [line for line in lines if "simulation seed=0 " in line]
+    assert len(legs) == 4
+    assert all(line.startswith("PASS: simulation seed=0 ") and line.endswith("(3se = 0)") for line in legs)
+
+
+def _log_chance(p, k, slots, flagged):
+    """log of the chance, in 60-digit mpmath, that none (flagged False) or all (True) of slots groups of k are flagged."""
+    with mpmath.workdps(60):
+        clear = (1 - mpmath.mpf(p)) ** k
+        chance = 1 - clear if flagged else clear
+        return -mpmath.inf if chance == 0 else slots * mpmath.log(chance)
+
+
+# (n, k, p, cycles): p at 0 and 1, k = 1, k*p << 1, and runs whose all-clear
+# or all-flagged chance sits on either side of alpha/2
+EXACT_TAIL_GRID = [
+    (n, k, p, cycles)
+    for n, k in [(1, 1), (4, 2), (12, 1), (120, 4), (10_000, 10_000)]
+    for p in [0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9, 1 - 1e-9, 1.0]
+    for cycles in [2, 3, 50, 1000, 10**6]
+]
+
+
+def test_exact_tail_rejection_probability_is_at_most_alpha():
+    # The tail verdict rejects a run only when it has no or every group
+    # flagged and that event's chance P has 2P < alpha. Its rejection
+    # probability is the sum of those chances, computed here, not sampled
+    rejecting = 0
+    for n, k, p, cycles in EXACT_TAIL_GRID:
+        cfg = validate_config(n, p, k)
+        slots = cycles * cfg.m
+        rejection = mpmath.mpf(0)
+        for flagged, total in ((False, 0), (True, slots)):
+            log_chance = _log_chance(p, k, slots, flagged)
+            if log_chance == -mpmath.inf:
+                continue  # no run has this total: every flag is set at p = 1, and none at p = 0
+            tail = _uniform_run_tail(cfg, cycles, total)
+            assert tail == pytest.approx(float(min(1, 2 * mpmath.exp(log_chance))), rel=1e-9, abs=1e-300)
+            if tail < SIMULATION_ALPHA:
+                rejection += mpmath.exp(log_chance)
+                rejecting += 1
+        assert rejection <= SIMULATION_ALPHA, (n, k, p, cycles)
+    assert rejecting > 0  # the grid reaches the rejecting side
+    assert _uniform_run_tail(validate_config(4, 0.5, 2), 10, 7) is None  # a mixed run keeps the 3-SE rule
+
+
+def test_unlikely_all_clear_run_exits_statistical_mismatch(capsys):
+    # an all-clear run at p = 0.5 has chance 0.25^(N*m), far below alpha/2,
+    # so a simulator that never flagged would be caught by the exact tail
+    cfg = validate_config(4, 0.5, 2)
+    all_clear = sim.simulate_age(validate_config(4, 0.0, 2), 100, seed=0)
+    with mock.patch.object(sim, "simulate_age", return_value=all_clear):
+        code = main(["validate", "--n", "4", "--p", "0.5", "--k", "2", "--cycles", "100", "--seeds", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert 2 * 0.25 ** (100 * cfg.m) < SIMULATION_ALPHA
     assert code == EXIT_STATISTICAL_MISMATCH
-    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert len(fails) == 4
-    assert all(line.startswith("FAIL: simulation seed=0 ") and line.endswith("(3se = 0)") for line in fails)
+    assert "EXACT: simulation seed=0: no group flagged in 200 group-cycles, two-sided tail 7.75e-121 (level 0.0027)" in lines
+    legs = [line for line in lines if "simulation seed=0 " in line]
+    assert len(legs) == 4 and all(line.startswith("FAIL: ") for line in legs)
 
 
 def test_validate_exits_analytic_mismatch_even_when_simulation_passes(capsys):
@@ -277,8 +339,8 @@ def test_over_budget_input_exits_one_before_simulating(capsys):
     with mock.patch.object(sim, "simulate_age", refuse), mock.patch.object(analytic, "convolution_oracle", refuse):
         for command, n, k, cycles in [
             ("validate", 10**9, 1, 2),  # the convolution's m + 1 values
-            ("simulate", 4 * 10**8, 40_000, 2),  # one chunk's draw of n uniforms
-            ("validate", 4 * 10**8, 40_000, 2),
+            ("simulate", 10**7, 1, 2),  # one chunk of 10^7 groups; its convolution term alone fits
+            ("validate", 10**7, 1, 2),
         ]:
             argv = [command, "--n", str(n), "--p", "0.1", "--k", str(k), "--cycles", str(cycles)]
             assert main(argv) == EXIT_USAGE
@@ -296,6 +358,38 @@ def test_cycle_count_alone_does_not_pass_the_memory_budget(capsys):
     assert code == EXIT_OK
     assert "budget" not in capsys.readouterr().err
     run.assert_called_once_with(cfg, 16_400_000, 0)
+
+
+def test_group_count_alone_sets_the_memory_budget():
+    # one uniform a group and cycle: the group size k does not enter, and the
+    # (10^7, 1) case above is over budget by its chunk, not its convolution
+    assert 48 * (10**7 + 1) < cli.MEMORY_BUDGET_BYTES
+    cli._check_memory_budget(validate_config(4 * 10**8, 0.1, 40_000))
+
+
+def test_huge_n_range_exits_one_before_any_optimizer_call(capsys):
+    refuse = mock.Mock(side_effect=AssertionError("ran the optimizer past the n-range check"))
+    with mock.patch.object(cli, "optimal_group_size_updating", refuse):
+        for n_range, reason in [("1:1000000000:1", "budget"), (f"1:{10**12 + 1}:1", "n <= 1000000000000")]:
+            tracemalloc.start()
+            try:
+                code = main(["age-vs-n", "--n-range", n_range, "--p-list", "0.1"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            captured = capsys.readouterr()
+            assert code == EXIT_USAGE
+            assert captured.out == ""
+            assert reason in captured.err
+            assert peak < 2**20
+    assert refuse.call_count == 0
+
+
+def test_n_range_is_checked_by_its_last_n_not_its_stop(capsys):
+    # the stop 10^12 + 1 is past the divisor bound, but the last n is 10^12
+    assert main(["age-vs-n", "--n-range", f"{10**12 - 2}:{10**12 + 1}:2", "--p-list", "0.1"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [str(10**12 - 2), str(10**12)]
 
 
 def test_int64_overflowing_input_exits_one_before_any_output(capsys):

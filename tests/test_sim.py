@@ -13,7 +13,9 @@ from groupage.model import divisors, validate_config
 from groupage.sim import empirical_moments, simulate_age
 
 from oracles import (
+    chi_square_tail,
     delivery_offsets,
+    flagged_group_count_pmf,
     group_outcome,
     group_times,
     nearest_float_sqrt,
@@ -24,6 +26,11 @@ from oracles import (
     reference_service_times,
     sample_statuses,
 )
+
+# Level of the chi-square checks on the simulator's flag draw. Each runs at
+# a fixed seed, so each passes or fails for good; at this level a correct
+# draw fails one of them by chance with probability 1e-4.
+FLAG_LAW_ALPHA = 1e-4
 
 
 @st.composite
@@ -40,8 +47,19 @@ def simulate_age_in_chunks(cfg, num_cycles, seed, chunk):
     """simulate_age with chunks of `chunk` cycles, or the default chunking for None."""
     if chunk is None:
         return simulate_age(cfg, num_cycles, seed)
-    with mock.patch.object(sim, "CHUNK_DRAWS", chunk * cfg.n):
+    with mock.patch.object(sim, "CHUNK_DRAWS", chunk * cfg.m):
         return simulate_age(cfg, num_cycles, seed)
+
+
+def estimate_in_chunks(cfg, flags, chunk):
+    """sim._estimate of an (N, m) flag trace fed in chunks of `chunk` cycles, or as one chunk for None."""
+    chunk = chunk or len(flags)
+    return sim._estimate(cfg, (flags[start : start + chunk] for start in range(0, len(flags), chunk)))
+
+
+def simulated_flags(cfg, num_cycles, seed):
+    """The simulator's (N, m) group flags of a seeded run, its chunks joined."""
+    return np.concatenate(list(sim._flag_chunks(cfg, seed, num_cycles)))
 
 
 def flag_counts_of(cfg, flags) -> np.ndarray:
@@ -134,7 +152,7 @@ def test_simulate_age_refuses_a_run_whose_sums_overflow():
 def test_flag_counts_and_moments_match_oracle_trace(run):
     cfg, num_cycles, seed = run
     flags = oracle_flags(cfg, num_cycles, seed)
-    summary = simulate_age(cfg, num_cycles, seed)
+    summary = estimate_in_chunks(cfg, flags, 3)
     assert summary.flag_counts.dtype == np.int64
     assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
     moments = empirical_moments(cfg, summary.flag_counts)
@@ -216,7 +234,7 @@ def test_trace_invariants(run):
     times = group_times(service)
     flags = oracle_flags(cfg, num_cycles, seed)
     assert np.array_equal(np.where(flags, k + 1, 1), times)
-    summary = simulate_age(cfg, num_cycles, seed)
+    summary = estimate_in_chunks(cfg, flags, 3)
     assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, times > 1))
     assert empirical_moments(cfg, summary.flag_counts).mean_service == float(int(service.sum())) / service.size
     assert set(np.unique(times)) <= {1, k + 1}
@@ -250,11 +268,12 @@ def test_streaming_mode_matches_full_trace_exactly(chunk):
     for p in (0.3, 0.02):  # at 0.02, 39% of the intervals lie between two all-clear cycles
         cfg = validate_config(24, p, 4)
         per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, 400, seed=21))
-        streamed = simulate_age_in_chunks(cfg, 400, 21, chunk)
+        flags = oracle_flags(cfg, 400, seed=21)
+        streamed = estimate_in_chunks(cfg, flags, chunk)
         assert np.array_equal(per_source, streamed.per_source_age)
         assert overall == streamed.overall_age
         assert se == streamed.standard_error
-        assert np.array_equal(streamed.flag_counts, flag_counts_of(cfg, oracle_flags(cfg, 400, seed=21)))
+        assert np.array_equal(streamed.flag_counts, flag_counts_of(cfg, flags))
 
 
 def hand_built_flag_runs(m, num_cycles):
@@ -322,12 +341,116 @@ def reference_runs(draw):
 def test_estimates_equal_per_source_reference_exactly(run):
     cfg, num_cycles, seed = run
     per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed))
-    summaries = [simulate_age_in_chunks(cfg, num_cycles, seed, chunk) for chunk in (1, 3, 97, None)]
-    for summary in summaries:
+    flags = oracle_flags(cfg, num_cycles, seed)
+    for chunk in (1, 3, 97, None):
+        summary = estimate_in_chunks(cfg, flags, chunk)
         assert np.array_equal(summary.per_source_age, per_source)
         assert summary.overall_age == overall
         assert summary.standard_error == se
-        assert np.array_equal(summary.flag_counts, summaries[0].flag_counts)
+        assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
+
+
+# p values at which qbar = 1 - (1-p)^1 is p itself, so a k = 1 run draws its sources' statuses
+K1_PS = [0.0, 1e-3, 0.02, 0.2, 0.3, 0.4, 0.5, 1.0]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.sampled_from(K1_PS),
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([1, 3, 97, None]),
+)
+def test_k1_runs_equal_the_per_source_reference_bit_for_bit(n, p, num_cycles, seed, chunk):
+    # at k = 1 a group's one uniform is its source's status draw, so the
+    # simulator's stream is the per-source one and no estimate moves
+    cfg = validate_config(n, p, 1)
+    assert cfg.qbar == p
+    per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed))
+    summary = simulate_age_in_chunks(cfg, num_cycles, seed, chunk)
+    assert np.array_equal(summary.per_source_age, per_source)
+    assert summary.overall_age == overall
+    assert summary.standard_error == se
+    assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, oracle_flags(cfg, num_cycles, seed)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(reference_runs(), st.sampled_from([1, 3, 97]))
+def test_estimates_and_flags_do_not_depend_on_the_chunk_size(run, chunk):
+    cfg, num_cycles, seed = run
+    whole = simulate_age(cfg, num_cycles, seed)
+    chunked = simulate_age_in_chunks(cfg, num_cycles, seed, chunk)
+    assert np.array_equal(chunked.per_source_age, whole.per_source_age)
+    assert chunked.overall_age == whole.overall_age
+    assert chunked.standard_error == whole.standard_error
+    assert np.array_equal(chunked.flag_counts, whole.flag_counts)
+    whole_flags = simulated_flags(cfg, num_cycles, seed)
+    with mock.patch.object(sim, "CHUNK_DRAWS", chunk * cfg.m):
+        assert np.array_equal(simulated_flags(cfg, num_cycles, seed), whole_flags)
+
+
+@pytest.mark.parametrize("n, k", [(12, 3), (24, 24), (7, 1), (1200, 24)])
+def test_flags_are_exact_at_p_zero_and_one(n, k):
+    for p, value in ((0.0, False), (1.0, True)):
+        flags = simulated_flags(validate_config(n, p, k), 300, seed=8)
+        assert flags.shape == (300, n // k)
+        assert (flags == value).all()
+
+
+def chi_square_statistic(observed, expected) -> tuple[float, int]:
+    """Pearson's statistic over the cells, pooled from the rarest up until each holds >= 5 expected; (statistic, cells)."""
+    order = np.argsort(expected)
+    cells, pool_observed, pool_expected = [], 0.0, 0.0
+    for i in order:
+        pool_observed += observed[i]
+        pool_expected += expected[i]
+        if pool_expected >= 5.0:
+            cells.append((pool_observed, pool_expected))
+            pool_observed = pool_expected = 0.0
+    if pool_expected > 0.0:  # the rest joins the last full cell
+        last_observed, last_expected = cells.pop()
+        cells.append((last_observed + pool_observed, last_expected + pool_expected))
+    return sum((o - e) ** 2 / e for o, e in cells), len(cells)
+
+
+# (n, p, k, cycles): wide and narrow groups, k*p from 3e-3 to 0.5, and one group
+FLAG_LAW_RUNS = [(120, 0.1, 4, 20_000), (1200, 0.01, 24, 5_000), (4, 0.5, 2, 50_000), (12, 1e-3, 3, 100_000), (10, 0.05, 10, 20_000)]
+
+
+@pytest.mark.parametrize("n, p, k, cycles", FLAG_LAW_RUNS)
+def test_flagged_group_counts_follow_the_binomial_law(n, p, k, cycles):
+    cfg = validate_config(n, p, k)
+    observed = simulate_age(cfg, cycles, seed=101).flag_counts
+    expected = cycles * np.array(flagged_group_count_pmf(cfg.m, k, p))
+    statistic, cells = chi_square_statistic(observed, expected)
+    assert cells >= 2
+    assert chi_square_tail(statistic, cells - 1) >= FLAG_LAW_ALPHA
+
+
+def pair_table_tail(first, second, qbar) -> float:
+    """Chi-square tail of the 2x2 counts of flag pairs against independent Bernoulli(qbar) flags (3 degrees of freedom)."""
+    observed = np.bincount(2 * first.astype(np.int64) + second, minlength=4)
+    chance = np.array([1 - qbar, qbar])
+    expected = len(first) * np.outer(chance, chance).ravel()
+    return chi_square_tail(float(((observed - expected) ** 2 / expected).sum()), 3)
+
+
+@pytest.mark.parametrize("n, p, k, cycles", FLAG_LAW_RUNS[:3])
+def test_flags_are_independent_at_lag_one_and_across_adjacent_groups(n, p, k, cycles):
+    # disjoint pairs, so that each pair is an independent draw of the 2x2
+    # table: cycles 2c and 2c + 1 of a group, groups 2g and 2g + 1 of a
+    # cycle, and each cycle's last group with the next cycle's first (the
+    # cycle counts are even, so each pair list has both its halves whole)
+    cfg = validate_config(n, p, k)
+    qbar = 1 - (1 - p) ** k
+    flags = simulated_flags(cfg, cycles, seed=202)
+    pairs = [(flags[0::2].ravel(), flags[1::2].ravel())]
+    if cfg.m > 1:
+        pairs.append((flags[:, 0 : cfg.m - 1 : 2].ravel(), flags[:, 1::2].ravel()))
+    pairs.append((flags[0:-1:2, -1], flags[1::2, 0]))
+    for first, second in pairs:
+        assert pair_table_tail(first, second, qbar) >= FLAG_LAW_ALPHA
 
 
 def test_streaming_peak_memory_is_one_chunk():
@@ -439,7 +562,9 @@ def test_run_past_one_int64_dot_equals_per_source_reference(chunk):
 
 
 def test_simulate_age_agrees_with_model_sampling_ops():
-    cfg = validate_config(12, 0.4, 3)
+    # at k = 1 the simulator's one uniform a group is the model's status draw
+    cfg = validate_config(12, 0.4, 1)
+    assert cfg.qbar == cfg.p
     rng = np.random.default_rng(77)
     flags = np.zeros((5, cfg.m), dtype=bool)
     for cycle in range(5):
