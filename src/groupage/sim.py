@@ -30,7 +30,17 @@ group arrays.
 An interval between two all-clear cycles has Y = m and F = 0 in every group,
 so the fold only counts it; its work follows the intervals that touch a
 flagged cycle, whose generation instants come from one flat cumsum of the
-group times 1 + k*F.
+group times 1 + k*F. Where few rows can be busy, the fold takes a chunk's
+flagged slots as flat positions cycle*m + group and builds only the rows
+around them.
+
+A run that expects fewer than SLOT_SAMPLER_FLAGS (one) flagged group-cycle,
+N*m*qbar < 1, p = 0 included, draws no uniform per slot: it draws only its
+flagged slots, by geometric gaps over the N*m slots in (cycle, group) order,
+and feeds their positions to the fold as one stretch of N cycles. Its work
+and memory are O(flags + m) whatever N is. Its flags have the law of the
+uniform draw but come from a stream of their own; every run with
+N*m*qbar >= 1 draws the uniforms.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,6 +65,11 @@ CHUNK_DRAWS = 2**18
 # otherwise takes the whole chunk. Measured on 2 vCPUs (numpy 2.4), the two cost the same
 # at a bound of about 0.45 of the rows at m = 1 to 4, 1.0 at m = 30 and 1.3 at m = 10^4.
 _GATHER_SHARE = 0.4
+# A run expecting fewer flagged group-cycles than this, N*m*qbar, draws only its flagged slots,
+# by _flagged_slots. At about 1.5 us a flag, the slot draw measured faster than the uniform draw
+# up to qbar of about 0.003 (m = 1 to 200, 2 vCPUs), but a wider gate would change the stream of
+# few-flag runs whose 3-SE validation legs are not yet calibrated.
+SLOT_SAMPLER_FLAGS = 1.0
 
 
 @dataclass(frozen=True)
@@ -69,6 +84,17 @@ class AgeSummary:
     overall_age: float
     standard_error: float
     flag_counts: np.ndarray  # (m + 1,) int64
+
+
+class _FlaggedSlots(NamedTuple):
+    """Consecutive cycles of a run given by their flagged (cycle, group) slots, not by a flag array.
+
+    positions holds the slots' flat indices cycle*m + group, sorted, with
+    cycles counted from the first of these cycles.
+    """
+
+    cycles: int
+    positions: np.ndarray
 
 
 def _cycles_per_chunk(config: SystemConfig) -> int:
@@ -88,6 +114,28 @@ def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[n
     chunk_cycles = _cycles_per_chunk(config)
     for start in range(0, num_cycles, chunk_cycles):
         yield rng.random((min(chunk_cycles, num_cycles - start), config.m)) < config.qbar
+
+
+def _flagged_slots(config: SystemConfig, seed: int, num_cycles: int) -> np.ndarray:
+    """Sorted flat positions cycle*m + group of a seeded run's flagged slots, drawn by geometric gaps.
+
+    As in _flag_chunks, each of the N*m slots, in (cycle, group) order, is
+    flagged with probability qbar independently of the others, so the gap
+    from one flagged slot, or from slot -1, to the next is geometric:
+    G = 1 + floor(E / -log(1 - qbar)), with E a standard exponential, has
+    P(G > g) = (1 - qbar)^g (inversion, Devroye 1986). The draw takes one
+    exponential per flag and one more, so its work and memory follow the
+    flags; its stream is not _flag_chunks'. At p = 0 it draws nothing.
+    """
+    positions = []
+    if config.qbar > 0.0:
+        rng = np.random.default_rng(seed)
+        rate = -math.log1p(-config.qbar)
+        position, last = -1, num_cycles * config.m - 1
+        while (gap := rng.standard_exponential() / rate) < last - position:
+            position += math.floor(gap) + 1
+            positions.append(position)
+    return np.array(positions, dtype=np.int64)
 
 
 def _add_exact_sums(totals: list[int], deviations: np.ndarray, lead, follow) -> None:
@@ -155,29 +203,66 @@ def _fold_block(block: np.ndarray, in_block, carry: np.ndarray, k: int) -> tuple
     return length_counts, carry, per_group, pooled
 
 
-def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray]) -> tuple:
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted int64 array, and the index of each of its values among them."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return values[new], np.cumsum(new) - 1
+
+
+def _gather(m: int, cycles: int, positions: np.ndarray, tail_flagged: bool, first_row: int) -> tuple[np.ndarray, ...]:
+    """A chunk's (block, in_block, busy rows), from the sorted flat positions cycle*m + group of its flagged slots.
+
+    Row c is busy when cycle c or c-1 is flagged, cycle -1 being the previous
+    chunk's last (flagged when tail_flagged); rows before first_row are not.
+    The block holds, in order, the (rows, m) flags of the rows r-1, r and r+1
+    of each flagged row r, which are the flagged rows, the busy rows and the
+    row before each busy row, and in_block is where the busy rows sit in it.
+    Each set is a run of sorted values interleaved from the one before, so
+    no step sorts or searches per flag, and the work and memory follow the
+    flags, not the chunk's cycles.
+    """
+    slot_rows = positions // m
+    flagged, slot_at = _runs(slot_rows)
+    if tail_flagged:
+        flagged = np.concatenate(([-1], flagged))
+        slot_at += 1
+    busy, busy_at = _runs(np.stack((flagged, flagged + 1), axis=1).ravel())
+    rows, rows_at = _runs(np.stack((busy - 1, busy), axis=1).ravel())
+    in_block = rows_at[1::2]
+    low, high = np.searchsorted(rows, (0, cycles))  # rows -2 and -1 come from row -1, and row `cycles` from the last
+    block = np.zeros((high - low, m), dtype=bool)
+    block[in_block[busy_at[0::2][slot_at]] - low, positions - slot_rows * m] = True
+    keep = slice(*np.searchsorted(busy, (first_row, cycles)))
+    return block, in_block[keep] - low, busy[keep]
+
+
+def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots]) -> tuple:
     """Exact integer sums of a run's intervals, from its group flags fed in cycle order.
 
-    Over the N-1 complete intervals it keeps per-group sums of Y, Y^2 and Y*F,
-    and it counts all N cycles by their length m + k*F. The standard error
-    needs each interval's pooled sums over all n sources of Y and of the
-    double area. The fold keeps neither: it takes their deviations u and v
-    from a quiet row's k*m^2 and k*m^2*(m + 2), with 0 <= u <= v since every
-    Y >= m, and adds up as Python ints sum u, sum v, the sums of uu, uv and
-    vv, and the lag-1 sums of u_i*u_(i+1), u_i*v_(i+1), v_i*u_(i+1) and
-    v_i*v_(i+1). It also keeps (u, v) of the run's first and last intervals.
-    Its memory is one chunk's, whatever the number of cycles.
+    Each chunk is a (cycles, m) bool array of flags or the _FlaggedSlots of
+    its cycles. Over the N-1 complete intervals it keeps per-group sums of Y,
+    Y^2 and Y*F, and it counts all N cycles by their length m + k*F. The
+    standard error needs each interval's pooled sums over all n sources of Y
+    and of the double area. The fold keeps neither: it takes their
+    deviations u and v from a quiet row's k*m^2 and k*m^2*(m + 2), with
+    0 <= u <= v since every Y >= m, and adds up as Python ints sum u, sum v,
+    the sums of uu, uv and vv, and the lag-1 sums of u_i*u_(i+1),
+    u_i*v_(i+1), v_i*u_(i+1) and v_i*v_(i+1). It also keeps (u, v) of the
+    run's first and last intervals. Its memory is one chunk's, whatever the
+    number of cycles.
 
     Row c of a chunk is the interval that cycle c closes. When cycles c-1
     and c are both all clear, the row is quiet: it adds m and m^2 to each
     group's sums of Y and Y^2, has u = v = 0, and is only counted. Busy rows
-    are computed by _fold_block on a block of cycles, the whole chunk or,
-    when few rows can be busy, a gather of the busy rows, the cycles before
-    them and the flagged cycles. A whole chunk takes its lag products from
-    slices; a gather takes them over its rows that follow each other. Across
-    chunks it carries the time from each group's last generation instant to
-    the chunk's end, whether the chunk's last cycle had a flag, and (u, v) of
-    the chunk's last row.
+    are computed by _fold_block on a block of cycles: the whole chunk, or,
+    for _FlaggedSlots and for a flag array in which few rows can be busy, the
+    _gather of its flagged slots' positions. A whole chunk takes its lag
+    products from slices; a gather takes them over its rows that follow each
+    other. Across chunks it carries the time from each group's last
+    generation instant to the chunk's end, whether the chunk's last cycle
+    had a flag, and (u, v) of the chunk's last row.
     """
     m, k = config.m, config.k
     sums = np.zeros((3, m), dtype=np.int64)  # per group: sum Y, sum Y^2, sum Y*F
@@ -187,28 +272,24 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray]) -> tuple:
     first = tail = (0, 0)  # (u, v) of the run's first interval and of the last chunk's last row
     carry = np.arange(m, 0, -1, dtype=np.int64)  # as after an all-clear cycle
     tail_flagged, busy_rows, end = False, 0, 0
-    for flags in flag_chunks:
-        start, end = end, end + len(flags)
+    for chunk in flag_chunks:
+        if isinstance(chunk, _FlaggedSlots):
+            cycles, positions = chunk
+        else:  # a flag array has at most 2*hits + tail_flagged busy rows
+            cycles = len(chunk)
+            gather = 2 * np.count_nonzero(chunk) + tail_flagged < _GATHER_SHARE * cycles
+            positions = np.flatnonzero(chunk) if gather else None
+        start, end = end, end + cycles
         first_row = 1 if start == 0 else 0  # cycle 0 closes no interval
-        hits = np.count_nonzero(flags)  # the chunk has at most 2*hits + tail_flagged busy rows
-        if 2 * hits + tail_flagged < _GATHER_SHARE * len(flags):
-            flagged = np.zeros(len(flags) + 1, dtype=bool)  # cycle c at c + 1, the previous chunk's last at 0
-            flagged[0] = tail_flagged
-            flagged[np.flatnonzero(flags) // m + 1] = True
-            busy = flagged[1:] | flagged[:-1]
-            busy[:first_row] = False
-            needed = busy | flagged[1:]
-            needed[:-1] |= busy[1:]
-            block_rows = np.flatnonzero(needed)
-            in_block = np.flatnonzero(busy[block_rows])  # where the busy rows sit in the block
-            in_chunk = block_rows[in_block]
-            block = flags[block_rows]
+        if positions is None:
+            block, in_block, in_chunk = chunk, slice(first_row, None), range(first_row, cycles)
+            lead, follow = slice(None, -1), slice(1, None)
+            tail_flagged = bool(chunk[-1].any())
+        else:
+            block, in_block, in_chunk = _gather(m, cycles, positions, tail_flagged, first_row)
             lead = np.flatnonzero(np.diff(in_chunk) == 1)
             follow = lead + 1
-        else:
-            block, in_block, in_chunk = flags, slice(first_row, None), range(first_row, len(flags))
-            lead, follow = slice(None, -1), slice(1, None)
-        tail_flagged = bool(flags[-1].any())
+            tail_flagged = len(positions) > 0 and int(positions[-1]) >= (cycles - 1) * m
         if len(block):
             counts, carry, per_group, deviations = _fold_block(block, in_block, carry, k)
             length_counts[: len(counts)] += counts
@@ -224,7 +305,7 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray]) -> tuple:
             deviation_sums[5:] = [total + a * b for total, (a, b) in zip(deviation_sums[5:], product(tail, head))]
         if start + in_chunk[0] == 1:
             first = tuple(deviations[:, 0].tolist())
-        tail = tuple(deviations[:, -1].tolist()) if in_chunk[-1] == len(flags) - 1 else (0, 0)
+        tail = tuple(deviations[:, -1].tolist()) if in_chunk[-1] == cycles - 1 else (0, 0)
         del deviations  # so that the next chunk's draw and fold do not overlap it
     quiet = end - 1 - busy_rows
     sums[0] += quiet * m
@@ -233,7 +314,7 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray]) -> tuple:
     return sums, length_counts[m::k].copy(), end - 1, deviation_sums, first, tail
 
 
-def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray]) -> AgeSummary:
+def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots]) -> AgeSummary:
     """Renewal-reward age estimate from a run's group flags, fed in cycle order."""
     sums, flag_counts, *standard_error_sums = _fold(config, flag_chunks)
     k = config.k
@@ -317,13 +398,18 @@ def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary
     feed the ratio estimator; the partial interval before the first generation
     is discarded. Cycles are drawn and folded in chunks of
     max(1, CHUNK_DRAWS // m) cycles, and nothing is kept per cycle, so memory
-    is one chunk's whatever num_cycles is. The random stream consumed and the
+    is one chunk's whatever num_cycles is. A run expecting fewer than one
+    flagged group-cycle, N*m*qbar < SLOT_SAMPLER_FLAGS, draws only its
+    flagged slots instead, by _flagged_slots, from a stream of its own, and
+    its memory is O(flags + m). The random stream consumed and the
     estimates, to the last bit, do not depend on the chunk size. A run whose
     int64 sums could overflow is refused.
     """
     if num_cycles < 2:
         raise ValueError("age estimation requires at least 2 cycles")
     _check_int64_totals(config, num_cycles)
+    if num_cycles * config.m * config.qbar < SLOT_SAMPLER_FLAGS:
+        return _estimate(config, [_FlaggedSlots(num_cycles, _flagged_slots(config, seed, num_cycles))])
     return _estimate(config, _flag_chunks(config, seed, num_cycles))
 
 

@@ -10,8 +10,9 @@ monotonicity of x * exp(x), the looped binomial convolution and the
 (2**n, m, k) status enumeration are the library's exact oracles as first
 written, the full flag trace and its per-cycle moments redo the streaming
 simulator's fold and sample moments from one (N, m, k) per-source draw, the
-50-digit binomial law of a cycle's flagged groups and the chi-square tail
-judge the simulator's own one-draw-a-group flags, the
+50-digit binomial law of a cycle's, or a run's, flagged groups and the
+chi-square tail judge the simulator's own flags, whether drawn one uniform
+a group or as the flagged slots alone, the
 standard errors of a counted series and of the pooled age ratio are
 computed in exact rationals, and the per-source sampler, timeline views,
 estimator and cross-term correlation redo the simulator's work source by
@@ -223,11 +224,12 @@ def oracle_flags(config, num_cycles: int, seed: int) -> np.ndarray:
     return (rng.random((num_cycles, config.m, config.k)) < config.p).any(axis=2)
 
 
-def flagged_group_count_pmf(m: int, k: int, p: float) -> list[float]:
-    """Binomial(m, 1 - (1-p)^k) pmf of a cycle's flagged-group count, from 50-digit mpmath."""
+def flagged_group_count_pmf(m: int, k: int, p: float, terms: int | None = None) -> list[float]:
+    """Binomial(m, 1 - (1-p)^k) pmf of a count of flagged groups among m, at 0..m or its first terms values, from 50-digit mpmath."""
     with mpmath.workdps(50):
         flagged = 1 - (1 - mpmath.mpf(p)) ** k
-        return [float(mpmath.binomial(m, z) * flagged**z * (1 - flagged) ** (m - z)) for z in range(m + 1)]
+        counts = range(m + 1 if terms is None else min(terms, m + 1))
+        return [float(mpmath.binomial(m, z) * flagged**z * (1 - flagged) ** (m - z)) for z in counts]
 
 
 def chi_square_tail(statistic: float, dof: int) -> float:

@@ -438,7 +438,7 @@ def test_standard_error_prints_like_the_exact_value_at_a_rounding_tie():
     # float prints 0.00187, and the per-cycle np.std the CLI once used, two
     # ulps high, printed 0.00188
     cfg = validate_config(125, 7.618497938283732e-07, 5)
-    counts = sim.simulate_age(cfg, 8000, seed=370156266).flag_counts
+    counts = sim.simulate_age(cfg, 8000, seed=0).flag_counts  # a seed whose run flags one group
     assert counts[0] == 7999 and counts[1] == 1
     lengths = cfg.m + cfg.k * np.arange(cfg.m + 1, dtype=np.int64)
     se = _standard_error(lengths, counts)

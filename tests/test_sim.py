@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from groupage import sim
 from groupage.analytic import average_age
@@ -60,6 +60,16 @@ def estimate_in_chunks(cfg, flags, chunk):
 def simulated_flags(cfg, num_cycles, seed):
     """The simulator's (N, m) group flags of a seeded run, its chunks joined."""
     return np.concatenate(list(sim._flag_chunks(cfg, seed, num_cycles)))
+
+
+def draws_uniforms(cfg, num_cycles) -> bool:
+    """Whether simulate_age draws this run's flags one uniform a group and cycle, the per-source stream at k = 1.
+
+    A run expecting fewer than one flagged group-cycle draws only its flagged
+    slots, from a stream of its own; at p = 0 neither draw flags anything,
+    so those runs count too.
+    """
+    return cfg.p == 0.0 or num_cycles * cfg.m * cfg.qbar >= sim.SLOT_SAMPLER_FLAGS
 
 
 def flag_counts_of(cfg, flags) -> np.ndarray:
@@ -358,15 +368,17 @@ K1_PS = [0.0, 1e-3, 0.02, 0.2, 0.3, 0.4, 0.5, 1.0]
 @given(
     st.integers(min_value=1, max_value=24),
     st.sampled_from(K1_PS),
-    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=2, max_value=60) | st.integers(min_value=1000, max_value=1100),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from([1, 3, 97, None]),
 )
 def test_k1_runs_equal_the_per_source_reference_bit_for_bit(n, p, num_cycles, seed, chunk):
     # at k = 1 a group's one uniform is its source's status draw, so the
-    # simulator's stream is the per-source one and no estimate moves
+    # simulator's stream is the per-source one and no estimate moves; the
+    # runs of 1000 cycles or more reach N*m*qbar >= 1 at p = 1e-3
     cfg = validate_config(n, p, 1)
     assert cfg.qbar == p
+    assume(draws_uniforms(cfg, num_cycles))
     per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed))
     summary = simulate_age_in_chunks(cfg, num_cycles, seed, chunk)
     assert np.array_equal(summary.per_source_age, per_source)
@@ -453,6 +465,111 @@ def test_flags_are_independent_at_lag_one_and_across_adjacent_groups(n, p, k, cy
         assert pair_table_tail(first, second, qbar) >= FLAG_LAW_ALPHA
 
 
+# (n, p, k, cycles) with N*m*qbar about 0.5, so that simulate_age draws only
+# the flagged slots: two slots over two cycles, where a slot off by one shows;
+# four groups over eight cycles; 30 groups over ten; and one source over three
+# default chunks and more, where a draw that restarted each chunk would repeat
+# its flags
+SLOT_LAW_RUNS = [
+    (2, 0.125, 1, 2),
+    (12, 0.0052, 3, 8),
+    (60, 8.3e-4, 2, 10),
+    (1, 0.5 / (3 * sim.CHUNK_DRAWS + 5), 1, 3 * sim.CHUNK_DRAWS + 5),
+]
+SLOT_LAW_SEEDS = range(2500)
+
+
+@pytest.mark.parametrize("n, p, k, cycles", SLOT_LAW_RUNS)
+def test_slot_sampler_flag_totals_follow_the_binomial_law(n, p, k, cycles):
+    cfg = validate_config(n, p, k)
+    assert 0.4 < cycles * cfg.m * cfg.qbar < 0.6 and not draws_uniforms(cfg, cycles)
+    groups = np.arange(cfg.m + 1)
+    totals = [int(simulate_age(cfg, cycles, seed).flag_counts @ groups) for seed in SLOT_LAW_SEEDS]
+    head = flagged_group_count_pmf(cycles * cfg.m, k, p, terms=8)  # Binomial(N*m, qbar) at 0..7
+    expected = len(SLOT_LAW_SEEDS) * np.array(head + [1.0 - sum(head)])
+    observed = np.bincount(np.minimum(totals, len(head)), minlength=len(head) + 1)
+    statistic, cells = chi_square_statistic(observed, expected)
+    assert cells >= 2
+    assert chi_square_tail(statistic, cells - 1) >= FLAG_LAW_ALPHA
+
+
+def slot_sampler_draws(cfg, cycles) -> list[np.ndarray]:
+    """Each seeded run's flagged slot positions, checked to increase strictly and to lie among the run's N*m slots."""
+    runs = [sim._flagged_slots(cfg, seed, cycles) for seed in SLOT_LAW_SEEDS]
+    for positions in runs:
+        assert (np.diff(positions) > 0).all()
+        assert ((positions >= 0) & (positions < cycles * cfg.m)).all()
+    return runs
+
+
+@pytest.mark.parametrize("n, p, k, cycles", SLOT_LAW_RUNS[:3])
+def test_flagged_slots_fall_uniformly_on_cycles_and_groups(n, p, k, cycles):
+    cfg = validate_config(n, p, k)
+    positions = np.concatenate(slot_sampler_draws(cfg, cycles))
+    for index, cells in ((positions // cfg.m, cycles), (positions % cfg.m, cfg.m)):
+        expected = np.full(cells, len(positions) / cells)
+        statistic, pooled = chi_square_statistic(np.bincount(index, minlength=cells), expected)
+        assert pooled == cells
+        assert chi_square_tail(statistic, cells - 1) >= FLAG_LAW_ALPHA
+
+
+@pytest.mark.parametrize("n, p, k, cycles", SLOT_LAW_RUNS[:3])
+def test_flagged_slot_gaps_follow_the_geometric_law(n, p, k, cycles):
+    # the gap g from slot -1, or from a flagged slot, to the next flagged
+    # slot: N*m slots flagged independently with chance qbar hold on average
+    # qbar*(1-qbar)^(g-1) * (1 + (N*m - g)*qbar) such gaps, g = 1..N*m. The
+    # number of gaps is random, so no cell's count is fixed by the others'
+    cfg = validate_config(n, p, k)
+    slots, qbar = cycles * cfg.m, cfg.qbar
+    gaps = np.concatenate([np.diff(positions, prepend=-1) for positions in slot_sampler_draws(cfg, cycles)])
+    g = np.arange(1, slots + 1)
+    expected = len(SLOT_LAW_SEEDS) * qbar * (1 - qbar) ** (g - 1) * (1 + (slots - g) * qbar)
+    statistic, cells = chi_square_statistic(np.bincount(gaps - 1, minlength=slots), expected)
+    assert cells >= 2
+    assert chi_square_tail(statistic, cells) >= FLAG_LAW_ALPHA
+
+
+def estimate_from_positions(cfg, flags, chunk):
+    """sim._estimate of an (N, m) flag trace fed as the flat positions of its flagged slots, `chunk` cycles a stretch."""
+    num_cycles, m = flags.shape
+    stretches = []
+    for start in range(0, num_cycles, chunk):
+        cycles = min(chunk, num_cycles - start)
+        stretches.append(sim._FlaggedSlots(cycles, np.flatnonzero(flags[start : start + cycles])))
+    return sim._estimate(cfg, stretches)
+
+
+@st.composite
+def sparse_flag_runs(draw):
+    """(config, (N, m) flags, chunk): a few flagged slots, some on the first, last and chunk-boundary cycles."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    k = draw(st.sampled_from(divisors(n)))
+    m = n // k
+    num_cycles = draw(st.integers(min_value=2, max_value=40))
+    chunk = draw(st.integers(min_value=1, max_value=num_cycles))
+    edges = [0, num_cycles - 1, chunk - 1, min(chunk, num_cycles - 1)]
+    cycles = draw(st.lists(st.sampled_from(edges) | st.integers(0, num_cycles - 1), max_size=6))
+    groups = draw(st.lists(st.integers(0, m - 1), min_size=len(cycles), max_size=len(cycles)))
+    flags = np.zeros((num_cycles, m), dtype=bool)
+    flags[cycles, groups] = True
+    return validate_config(n, 0.5, k), flags, chunk
+
+
+@settings(deadline=None, max_examples=150)
+@given(sparse_flag_runs())
+def test_fold_fed_positions_equals_whole_chunk_fold_and_reference(run):
+    cfg, flags, chunk = run
+    j = np.arange(1, cfg.k + 1)
+    per_source, overall, se = per_source_age_estimate(1 + j * flags[:, :, None].astype(np.int64))
+    with mock.patch.object(sim, "_GATHER_SHARE", 0.0):
+        whole = estimate_in_chunks(cfg, flags, None)
+    for summary in (whole, estimate_from_positions(cfg, flags, chunk), estimate_from_positions(cfg, flags, len(flags))):
+        assert np.array_equal(summary.per_source_age, per_source)
+        assert summary.overall_age == overall
+        assert summary.standard_error == se
+        assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
+
+
 def test_streaming_peak_memory_is_one_chunk():
     cfg = validate_config(1200, 0.01, 24)
     tracemalloc.start()
@@ -474,13 +591,22 @@ def traced_peak(function, *args) -> int:
 
 
 def test_peak_memory_does_not_grow_with_the_cycle_count():
-    # no group is flagged at this p, so a run is its draws, in chunks of
-    # CHUNK_DRAWS cycles; nothing may be kept per cycle
-    cfg = validate_config(1, 1e-9, 1)
+    # about one cycle in 10^5 is flagged at this p, so a run is mostly its
+    # uniform draws, in chunks of CHUNK_DRAWS cycles; nothing may be kept per cycle
+    cfg = validate_config(1, 1e-5, 1)
+    assert draws_uniforms(cfg, 2 * sim.CHUNK_DRAWS) and cfg.p > 0.0
     two_chunks = traced_peak(simulate_age, cfg, 2 * sim.CHUNK_DRAWS, 0)
     long_run = traced_peak(simulate_age, cfg, 1_000_000, 0)
     assert long_run <= two_chunks + 2**20
     assert long_run < 8 * 2**20
+
+
+def test_near_all_clear_run_memory_follows_its_flags():
+    # N*m*qbar = 1e-3: the run draws only its flagged slots, so 10^9 cycles
+    # need no per-cycle array; one bool a cycle would take 954 MiB
+    cfg = validate_config(1, 1e-12, 1)
+    assert not draws_uniforms(cfg, 10**9)
+    assert traced_peak(simulate_age, cfg, 10**9, 0) < 2**20
 
 
 @st.composite
@@ -554,6 +680,7 @@ def test_all_flagged_run_past_one_int64_dot_has_exact_age_and_zero_error():
 def test_run_past_one_int64_dot_equals_per_source_reference(chunk):
     cfg = validate_config(2000, 0.5, 1)  # v up to about 1e10 on 6 rows
     assert _rows_past_one_int64_dot(cfg) > 2**63
+    assert draws_uniforms(cfg, 7)
     per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, 7, seed=4))
     summary = simulate_age_in_chunks(cfg, 7, 4, chunk)
     assert np.array_equal(summary.per_source_age, per_source)
@@ -565,6 +692,7 @@ def test_simulate_age_agrees_with_model_sampling_ops():
     # at k = 1 the simulator's one uniform a group is the model's status draw
     cfg = validate_config(12, 0.4, 1)
     assert cfg.qbar == cfg.p
+    assert draws_uniforms(cfg, 5)
     rng = np.random.default_rng(77)
     flags = np.zeros((5, cfg.m), dtype=bool)
     for cycle in range(5):
