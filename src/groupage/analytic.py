@@ -111,8 +111,11 @@ def convolution_oracle(config: SystemConfig) -> MomentSet:
     With z of the m groups all clear, the cycle lasts m(k+1) - kz slots, and z
     is Binomial(m, q); E[Y] and E[Y^2] are the exact binomial sums over
     z = 0..m, whose pmf comes from a table of log-factorials and the logs
-    log q = k*log1p(-p) and log(qbar). Source j of a group takes 1 + j slots
-    when its group is flagged, so E[S] averages 1 + j*qbar over j = 1..k.
+    log q = k*log1p(-p) and log(qbar), divided by its own sum: the
+    log-factorial differences cancel about m*log(m) ulps, which would leave
+    the mass 2.4e-9 short of 1 at m = 1 321 122 and p = 0.5. Source j of a
+    group takes 1 + j slots when its group is flagged, so E[S] averages
+    1 + j*qbar over j = 1..k.
     """
     m, k, p, q, qbar = config.m, config.k, config.p, config.q, config.qbar
     z = np.arange(m + 1)
@@ -120,6 +123,7 @@ def convolution_oracle(config: SystemConfig) -> MomentSet:
         log_factorial = np.fromiter(map(math.lgamma, range(1, m + 2)), dtype=np.float64, count=m + 1)
         log_choose = log_factorial[m] - log_factorial - log_factorial[::-1]
         pmf = np.exp(log_choose + z * (k * math.log1p(-p)) + (m - z) * math.log(qbar))
+        pmf /= pmf.sum()
     else:  # the exact point mass at z = 0 (q = 0) or z = m (q = 1)
         pmf = (z == m * q).astype(np.float64)
     cycle = (m * (k + 1) - k * z).astype(np.float64)

@@ -33,17 +33,11 @@ ANALYTIC_RTOL = 1e-9
 # standard deviations, erfc(3/sqrt(2)), about 0.0027.
 SIMULATION_ALPHA = math.erfc(3.0 / math.sqrt(2.0))
 
-# Largest working set simulate, validate and age-vs-n accept, in bytes. For
-# simulate and validate: a chunk's group-cycles at _CHUNK_BYTES_PER_GROUP_CYCLE
-# each, and the convolution's six float64 arrays of m + 1 values. The
-# simulator draws one uniform a group and cycle and keeps nothing per cycle,
-# so the number of cycles does not enter. For age-vs-n: its rows, at
-# _AGE_VS_N_ROW_BYTES each. Over it, they exit 1 up front.
+# Largest working set of age-vs-n's rows, at _AGE_VS_N_ROW_BYTES each, in
+# bytes; over it, age-vs-n exits 1 up front. simulate and validate admit what
+# sim._check_int64_totals admits, at most m = 1 321 122 groups and n < 2^21
+# sources, and their largest such runs peak under it (244 MiB at most, traced).
 MEMORY_BUDGET_BYTES = 2**30
-# Peak bytes per group and cycle of a chunk, under tracemalloc: at most 49 for
-# a chunk of many cycles, and 170 (k = 1) and 193 (k = 2) for a one-cycle
-# chunk of 2^20 groups, where the run's per-group arrays count in.
-_CHUNK_BYTES_PER_GROUP_CYCLE = 200
 # Peak bytes per age-vs-n row (its tuple, numbers and CSV line), under
 # tracemalloc: 313 to 330 over 20 000 to 40 000 rows.
 _AGE_VS_N_ROW_BYTES = 352
@@ -183,20 +177,9 @@ def cmd_kstar_vs_p(n: int, p_list: list[float], out: str | None) -> int:
     return EXIT_OK
 
 
-def _check_memory_budget(config: SystemConfig) -> None:
-    n, m = config.n, config.m
-    need = sim._cycles_per_chunk(config) * m * _CHUNK_BYTES_PER_GROUP_CYCLE + 48 * (m + 1)
-    if need > MEMORY_BUDGET_BYTES:
-        raise UsageError(
-            f"n={n} sources in m={m} groups need about {need / 2**20:.0f} MiB, "
-            f"over the {MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget; use fewer sources or groups"
-        )
-
-
 def cmd_simulate(n: int, p: float, k: int, cycles: int, seeds: list[int], out: str | None) -> int:
     """Per-seed simulated age and cycle moments next to their closed-form values."""
     config = validate_config(n, p, k)
-    _check_memory_budget(config)
     sim._check_int64_totals(config, cycles)
     closed_age = analytic.average_age(config)
     rows = []
@@ -286,7 +269,6 @@ def cmd_validate(n: int, p: float, k: int, cycles: int, seeds: list[int]) -> int
     level. The tail is printed on a line of its own, before the legs.
     """
     config = validate_config(n, p, k)
-    _check_memory_budget(config)
     sim._check_int64_totals(config, cycles)
     closed = analytic.closed_form_moments(config)
     analytic_ok = True

@@ -23,9 +23,9 @@ and cycle, never a source's status. One accumulator draws the flags chunk by
 chunk and folds them, in cycle order, into exact integer per-group sums,
 nine exact integer sums from which the standard error follows, and a count
 of cycles by their number of flagged groups, from which the sample cycle
-moments follow exactly. No run keeps its flags or any per-cycle series, and
-no array is per source, so a run's memory is one chunk's of (cycles, m)
-group arrays.
+moments follow exactly. No run keeps its flags or any per-cycle series, so
+a run's memory is one chunk's (cycles, m) group arrays, its (m, k)
+per-source estimates and its m(k+1) + 1 cycle-length counts, whatever N is.
 
 An interval between two all-clear cycles has Y = m and F = 0 in every group,
 so the fold only counts it; its work follows the intervals that touch a
@@ -37,10 +37,16 @@ around them.
 A run that expects fewer than SLOT_SAMPLER_FLAGS (one) flagged group-cycle,
 N*m*qbar < 1, p = 0 included, draws no uniform per slot: it draws only its
 flagged slots, by geometric gaps over the N*m slots in (cycle, group) order,
-and feeds their positions to the fold as one stretch of N cycles. Its work
-and memory are O(flags + m) whatever N is. Its flags have the law of the
-uniform draw but come from a stream of their own; every run with
-N*m*qbar >= 1 draws the uniforms.
+and feeds their positions to the fold as one stretch of N cycles. Its draw
+follows its flags whatever N is, but the fold's block holds up to three
+rows of m groups for each flagged cycle, so its work and memory are
+O((1 + flags)*m). Its flags have the law of the uniform draw but come from a
+stream of their own; every run with N*m*qbar >= 1 draws the uniforms.
+
+A run is admitted by _check_int64_totals alone, which refuses every m above
+1 321 122 and every n >= 2^21. At the largest admitted shapes, under
+tracemalloc, a two-cycle run at p = 0.5 peaks at 214 MiB (m = 1 321 122,
+k = 1) and 38 MiB (m = 1, k = 1 664 509).
 """
 
 from __future__ import annotations
@@ -401,7 +407,7 @@ def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary
     is one chunk's whatever num_cycles is. A run expecting fewer than one
     flagged group-cycle, N*m*qbar < SLOT_SAMPLER_FLAGS, draws only its
     flagged slots instead, by _flagged_slots, from a stream of its own, and
-    its memory is O(flags + m). The random stream consumed and the
+    its memory is O((1 + flags)*m). The random stream consumed and the
     estimates, to the last bit, do not depend on the chunk size. A run whose
     int64 sums could overflow is refused.
     """

@@ -106,19 +106,26 @@ def looped_convolution_moments(config) -> tuple[float, float, float, float]:
     """(E[Y], E[Y^2], E[S], age) from one Python lgamma pmf term per count z of all-clear groups.
 
     It takes its own log q = k*log1p(-p) and qbar = 1 - q = -expm1(log q)
-    from p, so neither cancels when k*p << 1.
+    from p, so neither cancels when k*p << 1. Its lgamma terms cancel about
+    m*log(m) ulps, so the sums are divided by the summed mass, which is 1
+    only up to that error: without the division, E[Y] at m = 46, k = 1 and
+    p = 0.5 would be 69.0000000000009, not 69.
     """
     m, k, p = config.m, config.k, config.p
     log_q = k * math.log1p(-p) if p < 1.0 else -math.inf
     qbar = -math.expm1(log_q)
     log_qbar = math.log(qbar) if qbar > 0.0 else -math.inf
+    mass = 0.0
     mean = 0.0
     second = 0.0
     for z in range(m + 1):
         pmf = _binomial_pmf(m, z, log_q, log_qbar)
         y = m * (k + 1) - k * z
+        mass += pmf
         mean += pmf * y
         second += pmf * y * y
+    mean /= mass
+    second /= mass
     service = sum(1.0 + j * qbar for j in range(1, k + 1)) / k
     return mean, second, service, second / (2.0 * mean) + service
 

@@ -218,6 +218,17 @@ def test_convolution_matches_looped_reference(m, k, p):
     _assert_moments_match(convolution_oracle(cfg), looped_convolution_moments(cfg), rel=1e-14)
 
 
+@pytest.mark.parametrize("p", [0.5, 0.1])
+def test_convolution_oracle_holds_at_the_largest_admitted_group_count(p):
+    # m = 1 321 122 is the most groups the simulator's int64 check admits at
+    # k = 1; here the lgamma pmf's mass was 2.4e-9 short of 1 before it was
+    # divided by its sum, and validate exited 2 on correct closed forms
+    cfg = validate_config(1_321_122, p, 1)
+    closed = closed_form_moments(cfg)
+    reference = (closed.mean_cycle, closed.second_moment_cycle, closed.mean_service, closed.average_age)
+    _assert_moments_match(convolution_oracle(cfg), reference, rel=1e-12)
+
+
 # n up to 1e8 with k any of its divisors, and p log-uniform down to 1e-15 as
 # well as anywhere in [1e-15, 1] and at both ends
 @st.composite

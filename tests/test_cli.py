@@ -332,19 +332,19 @@ def test_negative_seed_is_a_usage_error_before_any_work(command, seeds, capsys):
     assert refuse.call_count == 0
 
 
-def test_over_budget_input_exits_one_before_simulating(capsys):
+def test_oversized_input_exits_one_by_the_int64_check_before_simulating(capsys):
     # the check must refuse these before any oracle or simulation runs; if it
     # did not, the patched calls would fail the test instead of allocating
-    refuse = mock.Mock(side_effect=AssertionError("ran past the memory budget check"))
+    refuse = mock.Mock(side_effect=AssertionError("ran past the int64 check"))
     with mock.patch.object(sim, "simulate_age", refuse), mock.patch.object(analytic, "convolution_oracle", refuse):
         for command, n, k, cycles in [
-            ("validate", 10**9, 1, 2),  # the convolution's m + 1 values
-            ("simulate", 10**7, 1, 2),  # one chunk of 10^7 groups; its convolution term alone fits
+            ("validate", 10**9, 1, 2),
+            ("simulate", 10**7, 1, 2),
             ("validate", 10**7, 1, 2),
         ]:
             argv = [command, "--n", str(n), "--p", "0.1", "--k", str(k), "--cycles", str(cycles)]
             assert main(argv) == EXIT_USAGE
-            assert "budget" in capsys.readouterr().err
+            assert "int64" in capsys.readouterr().err
     assert refuse.call_count == 0
 
 
@@ -360,11 +360,42 @@ def test_cycle_count_alone_does_not_pass_the_memory_budget(capsys):
     run.assert_called_once_with(cfg, 16_400_000, 0)
 
 
-def test_group_count_alone_sets_the_memory_budget():
-    # one uniform a group and cycle: the group size k does not enter, and the
-    # (10^7, 1) case above is over budget by its chunk, not its convolution
-    assert 48 * (10**7 + 1) < cli.MEMORY_BUDGET_BYTES
-    cli._check_memory_budget(validate_config(4 * 10**8, 0.1, 40_000))
+def _largest_admitted(admits, low: int) -> int:
+    """The largest x >= low with admits(x), for admits true at low and false from some x on."""
+    high = 2 * low
+    while admits(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if admits(mid) else (low, mid)
+    return low
+
+
+def _int64_admits(n: int, k: int) -> bool:
+    try:
+        sim._check_int64_totals(validate_config(n, 0.5, k), 2)
+    except ValueError:
+        return False
+    return True
+
+
+def test_largest_admitted_runs_fit_the_budget(capsys):
+    # the int64 check is the only admission rule of simulate and validate;
+    # its largest runs, the most groups at k = 1 and the widest single group,
+    # must still fit the memory budget that age-vs-n keeps
+    groups = _largest_admitted(lambda m: _int64_admits(m, 1), 1)
+    width = _largest_admitted(lambda k: _int64_admits(k, k), 1)
+    assert (groups, width) == (1_321_122, 1_664_509)
+    assert not _int64_admits(groups + 1, 1) and not _int64_admits(width + 1, width + 1)
+    for n, k in [(groups, 1), (width, width)]:
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--n", str(n), "--p", "0.5", "--k", str(k), "--cycles", "2", "--seeds", "0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert peak < cli.MEMORY_BUDGET_BYTES
 
 
 def test_huge_n_range_exits_one_before_any_optimizer_call(capsys):
