@@ -25,28 +25,35 @@ nine exact integer sums from which the standard error follows, and a count
 of cycles by their number of flagged groups, from which the sample cycle
 moments follow exactly. No run keeps its flags or any per-cycle series, so
 a run's memory is one chunk's (cycles, m) group arrays, its (m, k)
-per-source estimates and its m(k+1) + 1 cycle-length counts, whatever N is.
+per-source estimates and its m + 1 counts of cycles by flag total, whatever
+N is.
 
-An interval between two all-clear cycles has Y = m and F = 0 in every group,
-so the fold only counts it; its work follows the intervals that touch a
-flagged cycle, whose generation instants come from one flat cumsum of the
-group times 1 + k*F. Where few rows can be busy, the fold takes a chunk's
-flagged slots as flat positions cycle*m + group and builds only the rows
-around them.
+A group's interval spans the m group times before the slot that closes it,
+so Y = m + k*C, with C <= m the flagged slots among those m. The fold takes
+every C from one exclusive flat count of a block's flags, m slots apart,
+and sums C, C^2 and C*F in int32 while no such sum can reach 2^31 (m <= 1290
+at the chunk size) and in int64 otherwise; the sums of Y follow by exact
+int64 algebra. An interval between two all-clear cycles has C = 0 and F = 0
+in every group, so the fold only counts it, and its work follows the
+intervals that touch a flagged cycle. Where few rows can be busy, the fold
+takes a chunk's flagged slots as flat positions cycle*m + group and builds
+only the rows around them.
 
 A run that expects fewer than SLOT_SAMPLER_FLAGS (one) flagged group-cycle,
 N*m*qbar < 1, p = 0 included, draws no uniform per slot: it draws only its
 flagged slots, by geometric gaps over the N*m slots in (cycle, group) order,
-and feeds their positions to the fold as one stretch of N cycles. Its draw
-follows its flags whatever N is, but the fold's block holds up to three
-rows of m groups for each flagged cycle, so its work and memory are
-O((1 + flags)*m). Its flags have the law of the uniform draw but come from a
-stream of their own; every run with N*m*qbar >= 1 draws the uniforms.
+and feeds their positions to the fold in stretches of a bounded number of
+flagged cycles, so that no block of the fold holds more rows than about a
+chunk's slots, or three rows of m groups. Its work is O((1 + flags)*m), and
+its memory does not grow with its flags. Its flags have the law of the uniform draw
+but come from a stream of their own; every run with N*m*qbar >= 1 draws the
+uniforms.
 
 A run is admitted by _check_int64_totals alone, which refuses every m above
 1 321 122 and every n >= 2^21. At the largest admitted shapes, under
-tracemalloc, a two-cycle run at p = 0.5 peaks at 214 MiB (m = 1 321 122,
-k = 1) and 38 MiB (m = 1, k = 1 664 509).
+tracemalloc, a two-cycle run at p = 0.5 peaks at 138 MiB (m = 1 321 122,
+k = 1) and 39 MiB (m = 1, k = 1 664 509), and a 100-cycle slot-drawn run at
+m = 1 321 122 at 173 MiB whether one or four of its cycles are flagged.
 """
 
 from __future__ import annotations
@@ -69,8 +76,8 @@ from .analytic import MomentSet
 CHUNK_DRAWS = 2**18
 # _fold gathers a chunk's busy rows when at most this share of its rows can be busy, and
 # otherwise takes the whole chunk. Measured on 2 vCPUs (numpy 2.4), the two cost the same
-# at a bound of about 0.45 of the rows at m = 1 to 4, 1.0 at m = 30 and 1.3 at m = 10^4.
-_GATHER_SHARE = 0.4
+# at a bound of about 0.38 of the rows at m = 1 to 4, 0.65 at m = 30 and 1.0 at m = 10^4.
+_GATHER_SHARE = 0.35
 # A run expecting fewer flagged group-cycles than this, N*m*qbar, draws only its flagged slots,
 # by _flagged_slots. At about 1.5 us a flag, the slot draw measured faster than the uniform draw
 # up to qbar of about 0.003 (m = 1 to 200, 2 vCPUs), but a wider gate would change the stream of
@@ -144,6 +151,25 @@ def _flagged_slots(config: SystemConfig, seed: int, num_cycles: int) -> np.ndarr
     return np.array(positions, dtype=np.int64)
 
 
+def _flagged_slot_stretches(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[_FlaggedSlots]:
+    """The _flagged_slots of a seeded run as _FlaggedSlots stretches, each with at most B flagged cycles.
+
+    B = max(1, _cycles_per_chunk // 3). A stretch ends before the cycle of
+    every B-th flagged slot, so each stretch but the first starts at a
+    flagged cycle and _gather builds at most 3B rows of m groups for it,
+    about a chunk's slots, or three rows at m > CHUNK_DRAWS / 6, however many
+    cycles of the run are flagged. A run with at most B flagged slots is one
+    stretch.
+    """
+    m = config.m
+    positions = _flagged_slots(config, seed, num_cycles)
+    most = max(1, _cycles_per_chunk(config) // 3)
+    cuts = list(dict.fromkeys([0, *(positions[most::most] // m).tolist(), num_cycles]))  # sorted, distinct
+    for start, end in zip(cuts, cuts[1:]):
+        low, high = np.searchsorted(positions, (start * m, end * m))
+        yield _FlaggedSlots(end - start, positions[low:high] - start * m)
+
+
 def _add_exact_sums(totals: list[int], deviations: np.ndarray, lead, follow) -> None:
     """Add the exact sums of a chunk's (2, rows) int64 values (u, v), 0 <= u <= v, into nine Python ints.
 
@@ -174,39 +200,64 @@ def _add_exact_sums(totals: list[int], deviations: np.ndarray, lead, follow) -> 
                 totals[i] += int(value) << (shift + other)
 
 
-def _fold_block(block: np.ndarray, in_block, carry: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """One block of cycles' group flags: (counts of its cycle lengths, carry after it, per-group sums, pooled row sums).
+def _fold_block(block: np.ndarray, in_block, carry: np.ndarray, sums: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """One block of cycles' group flags: (counts of its cycles by flag total, row deviations), its C sums added to sums.
 
-    One flat cumsum of the block's group times 1 + k*F, less each time, gives
-    the generation instants, and Y is their difference from row to row, plus
-    the carry on the first row. Over the busy rows in_block it sums Y, Y^2
-    and Y*F per group, and per row the pooled sums over all n sources of Y
-    and of the double area Y^2 + 2*Y*S, k*sum Y and
-    k*sum (Y^2 + 2Y + (k+1)*Y*F). Its (rows, m) arrays die on return.
+    Row r's interval in group g spans the m group times before slot (r, g),
+    so Y = m + k*C, with C the flags among those m slots: the difference,
+    m slots apart, of one exclusive flat count of the block's flags, which
+    starts at -carry, per group the flags at or after it in the previous
+    block's last row. carry is then overwritten with this block's. Over the
+    busy rows in_block, a slice of consecutive rows or an index array, it
+    adds the sums of C, C^2, C*F and F per group into the (4, m) int64 sums,
+    sum C telescoping when the rows are consecutive, and returns per row the
+    deviations u and v of the pooled sums over all n sources of Y and of the
+    double area Y^2 + 2*Y*S, which are k*sum Y and
+    k*sum (Y^2 + 2Y + (k+1)*Y*F), from a quiet row's k*m^2 and
+    k*m^2*(m + 2). C <= m, so each sum of C, C^2 or C*F is at most m^3 or
+    rows*m^2: the counts and those sums run in int32 while both are below
+    2^31, and in int64 otherwise. The row deviations follow from them by
+    exact int64 algebra. Its (rows, m) arrays die on return.
     """
-    group_times = block.astype(np.int64)
-    group_times *= k
-    group_times += 1
-    instants = np.cumsum(group_times).reshape(block.shape)
-    instants -= group_times
-    ends = instants[:, -1] + group_times[:, -1]
-    intervals = group_times  # the group times are spent; the intervals take their memory
-    intervals[0] = instants[0] + carry
-    np.subtract(instants[1:], instants[:-1], out=intervals[1:])
-    length_counts = np.bincount(ends - instants[:, 0])
-    carry = ends[-1] - instants[-1]  # a block's last row is the chunk's, or all clear
-    del instants  # before the reductions' temporaries
-    y, f = intervals[in_block], block[in_block].astype(np.int64)  # an int64 F makes the products below faster
-    per_group = np.stack((np.einsum("ij->j", y), np.einsum("ij,ij->j", y, y), np.einsum("ij,ij->j", y, f)))
-    pooled = np.empty((2, len(y)), dtype=np.int64)
-    row_y, row_area = pooled
-    np.einsum("ij->i", y, out=row_y)
-    np.einsum("ij,ij->i", y, f, out=row_area)
-    row_area *= k + 1
-    row_area += 2 * row_y
-    row_area += np.einsum("ij,ij->i", y, y)
-    pooled *= k
-    return length_counts, carry, per_group, pooled
+    rows, m = block.shape
+    narrow = np.int32 if max(m**3, rows * m * m) < 2**31 else np.int64
+    counts = np.empty((rows + 1) * m + 1, dtype=narrow)
+    np.negative(carry, out=counts[:m])
+    counts[m] = 0
+    np.cumsum(block, out=counts[m + 1 :])
+    before = counts[:-1].reshape(rows + 1, m)  # before[r + 1, g]: the block's flags before slot (r, g)
+    c = before[1:] - before[:-1]
+    row_flags = np.subtract(counts[2 * m :: m], counts[m:-1:m], dtype=np.int64)
+    np.subtract(counts[-1], before[-1], out=carry, casting="same_kind")
+    length_counts = np.bincount(row_flags)
+    group = np.empty((4, m), dtype=narrow)  # over the busy rows: sum C, sum C^2, sum C*F, sum F
+    if isinstance(in_block, slice):
+        start, stop, _ = in_block.indices(rows)
+        np.subtract(before[max(start, stop)], before[start], out=group[0])
+    del counts, before  # before the reductions' temporaries
+    c, f, row_flags = c[in_block], block[in_block].astype(narrow), row_flags[in_block]
+    if not isinstance(in_block, slice):
+        np.einsum("ij->j", c, out=group[0])
+    np.einsum("ij,ij->j", c, c, out=group[1])
+    np.einsum("ij,ij->j", c, f, out=group[2])
+    np.einsum("ij->j", f, out=group[3])
+    sums += group
+    row_c = np.einsum("ij->i", c)
+    row_cc = np.einsum("ij,ij->i", c, c)
+    row_cf = np.einsum("ij,ij->i", c, f)
+    # u = k^2*sum C and v = k^2*(k*sum C^2 + (k+1)*sum C*F + (2m + 2)*sum C) + k(k+1)*m*F
+    deviations = np.empty((2, len(row_c)), dtype=np.int64)
+    u, v = deviations
+    np.multiply(row_cc, k, out=v, dtype=np.int64)
+    np.multiply(row_cf, k + 1, out=u, dtype=np.int64)
+    v += u
+    np.multiply(row_c, 2 * m + 2, out=u, dtype=np.int64)
+    v += u
+    v *= k * k
+    np.multiply(row_flags, k * (k + 1) * m, out=u)
+    v += u
+    np.multiply(row_c, k * k, out=u, dtype=np.int64)
+    return length_counts, deviations
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,8 +299,9 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots
     """Exact integer sums of a run's intervals, from its group flags fed in cycle order.
 
     Each chunk is a (cycles, m) bool array of flags or the _FlaggedSlots of
-    its cycles. Over the N-1 complete intervals it keeps per-group sums of Y,
-    Y^2 and Y*F, and it counts all N cycles by their length m + k*F. The
+    its cycles. Over the N-1 complete intervals it keeps per-group sums of C,
+    C^2, C*F and F, with Y = m + k*C, and turns them into sums of Y, Y^2 and
+    Y*F once, at the end; it counts all N cycles by their flag total F. The
     standard error needs each interval's pooled sums over all n sources of Y
     and of the double area. The fold keeps neither: it takes their
     deviations u and v from a quiet row's k*m^2 and k*m^2*(m + 2), with
@@ -260,24 +312,23 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots
     number of cycles.
 
     Row c of a chunk is the interval that cycle c closes. When cycles c-1
-    and c are both all clear, the row is quiet: it adds m and m^2 to each
-    group's sums of Y and Y^2, has u = v = 0, and is only counted. Busy rows
-    are computed by _fold_block on a block of cycles: the whole chunk, or,
-    for _FlaggedSlots and for a flag array in which few rows can be busy, the
-    _gather of its flagged slots' positions. A whole chunk takes its lag
+    and c are both all clear, the row is quiet: it has C = F = 0 in every
+    group and u = v = 0, and is only counted. Busy rows are computed by
+    _fold_block on a block of cycles: the whole chunk, or, for _FlaggedSlots
+    and for a flag array in which few rows can be busy, the _gather of its
+    flagged slots' positions. A whole chunk takes its lag
     products from slices; a gather takes them over its rows that follow each
-    other. Across chunks it carries the time from each group's last
-    generation instant to the chunk's end, whether the chunk's last cycle
-    had a flag, and (u, v) of the chunk's last row.
+    other. Across chunks it carries, per group, the flagged groups at or
+    after it in the chunk's last cycle, whether that cycle had a flag, and
+    (u, v) of the chunk's last row.
     """
     m, k = config.m, config.k
-    sums = np.zeros((3, m), dtype=np.int64)  # per group: sum Y, sum Y^2, sum Y*F
-    length_counts = np.zeros(m * (k + 1) + 1, dtype=np.int64)
-    quiet_row = np.array([[k * m * m], [k * m * m * (m + 2)]], dtype=np.int64)
+    sums = np.zeros((4, m), dtype=np.int64)  # per group: sum C, sum C^2, sum C*F, sum F
+    length_counts = np.zeros(m + 1, dtype=np.int64)
     deviation_sums = [0] * 9  # as _add_exact_sums orders them
     first = tail = (0, 0)  # (u, v) of the run's first interval and of the last chunk's last row
-    carry = np.arange(m, 0, -1, dtype=np.int64)  # as after an all-clear cycle
-    tail_flagged, busy_rows, end = False, 0, 0
+    carry = np.zeros(m, dtype=np.int32)  # flags at or after each group in the last cycle; none before cycle 0
+    tail_flagged, end = False, 0
     for chunk in flag_chunks:
         if isinstance(chunk, _FlaggedSlots):
             cycles, positions = chunk
@@ -291,20 +342,20 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots
             block, in_block, in_chunk = chunk, slice(first_row, None), range(first_row, cycles)
             lead, follow = slice(None, -1), slice(1, None)
             tail_flagged = bool(chunk[-1].any())
+        elif not len(positions) and not tail_flagged:  # no flag here or in the cycle before: all rows quiet
+            tail = (0, 0)
+            continue
         else:
             block, in_block, in_chunk = _gather(m, cycles, positions, tail_flagged, first_row)
             lead = np.flatnonzero(np.diff(in_chunk) == 1)
             follow = lead + 1
             tail_flagged = len(positions) > 0 and int(positions[-1]) >= (cycles - 1) * m
         if len(block):
-            counts, carry, per_group, deviations = _fold_block(block, in_block, carry, k)
+            counts, deviations = _fold_block(block, in_block, carry, sums, k)
             length_counts[: len(counts)] += counts
-            sums += per_group
         if not len(in_chunk):
             tail = (0, 0)
             continue
-        busy_rows += len(in_chunk)
-        deviations -= quiet_row
         _add_exact_sums(deviation_sums, deviations, lead, follow)
         if in_chunk[0] == 0:  # the chunk's first row follows the previous chunk's last
             head = deviations[:, 0].tolist()
@@ -313,11 +364,17 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots
             first = tuple(deviations[:, 0].tolist())
         tail = tuple(deviations[:, -1].tolist()) if in_chunk[-1] == cycles - 1 else (0, 0)
         del deviations  # so that the next chunk's draw and fold do not overlap it
-    quiet = end - 1 - busy_rows
-    sums[0] += quiet * m
-    sums[1] += quiet * m * m
-    length_counts[m] += end - length_counts.sum()
-    return sums, length_counts[m::k].copy(), end - 1, deviation_sums, first, tail
+    length_counts[0] += end - length_counts.sum()
+    # in place, sum Y = (N-1)*m + k*sum C, sum Y^2 = (N-1)*m^2 + 2mk*sum C + k^2*sum C^2 and
+    # sum Y*F = m*sum F + k*sum C*F over all N-1 intervals, the quiet rows' C = F = 0 included
+    intervals = end - 1
+    sums[:3] *= np.array([[k], [k * k], [k]], dtype=np.int64)
+    sums[3] *= m
+    sums[2] += sums[3]
+    np.multiply(sums[0], 2 * m, out=sums[3])
+    sums[1] += sums[3]
+    sums[:2] += np.array([[intervals * m], [intervals * m * m]], dtype=np.int64)
+    return sums[:3], length_counts, intervals, deviation_sums, first, tail
 
 
 def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots]) -> AgeSummary:
@@ -407,15 +464,15 @@ def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary
     is one chunk's whatever num_cycles is. A run expecting fewer than one
     flagged group-cycle, N*m*qbar < SLOT_SAMPLER_FLAGS, draws only its
     flagged slots instead, by _flagged_slots, from a stream of its own, and
-    its memory is O((1 + flags)*m). The random stream consumed and the
-    estimates, to the last bit, do not depend on the chunk size. A run whose
-    int64 sums could overflow is refused.
+    folds them in stretches whose blocks do not grow with the flags. The
+    random stream consumed and the estimates, to the last bit, do not depend
+    on the chunk size. A run whose int64 sums could overflow is refused.
     """
     if num_cycles < 2:
         raise ValueError("age estimation requires at least 2 cycles")
     _check_int64_totals(config, num_cycles)
     if num_cycles * config.m * config.qbar < SLOT_SAMPLER_FLAGS:
-        return _estimate(config, [_FlaggedSlots(num_cycles, _flagged_slots(config, seed, num_cycles))])
+        return _estimate(config, _flagged_slot_stretches(config, seed, num_cycles))
     return _estimate(config, _flag_chunks(config, seed, num_cycles))
 
 

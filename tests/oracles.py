@@ -12,7 +12,8 @@ written, the full flag trace and its per-cycle moments redo the streaming
 simulator's fold and sample moments from one (N, m, k) per-source draw, the
 50-digit binomial law of a cycle's, or a run's, flagged groups and the
 chi-square tail judge the simulator's own flags, whether drawn one uniform
-a group or as the flagged slots alone, the
+a group or as the flagged slots alone, the block fold from generation
+instants is the simulator's block fold as it was before it counted flags, the
 standard errors of a counted series and of the pooled age ratio are
 computed in exact rationals, and the per-source sampler, timeline views,
 estimator and cross-term correlation redo the simulator's work source by
@@ -319,6 +320,32 @@ def per_source_age_estimate(service_times: np.ndarray) -> tuple[np.ndarray, floa
     pooled_double_areas = (interval_sq + 2 * interval_service).sum(axis=(1, 2))
     se = exact_pooled_standard_error(pooled_intervals, pooled_double_areas, m * k)
     return per_source, float(per_source.mean()), se
+
+
+def instants_fold_block(block: np.ndarray, in_block, carry: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """A block of (rows, m) group flags folded from generation instants: (length counts, carry, per-group sums, pooled).
+
+    One flat cumsum of the group times 1 + k*F, less each time, gives the
+    generation instants, and Y is their difference from row to row, plus
+    carry, each group's time from its last instant to the previous block's
+    end, on the first row. The block's cycle lengths are counted by
+    np.bincount (index m + k*F), the carry after the block is returned, and
+    over the busy rows in_block it sums Y, Y^2 and Y*F per group, and per
+    row the pooled sums over all n = m*k sources of Y and of the double area
+    Y^2 + 2*Y*S, k*sum Y and k*sum (Y^2 + 2Y + (k+1)*Y*F). Everything is
+    int64.
+    """
+    group_times = block.astype(np.int64) * k + 1
+    instants = np.cumsum(group_times).reshape(block.shape) - group_times
+    ends = instants[:, -1] + group_times[:, -1]
+    intervals = np.empty_like(instants)
+    intervals[0] = instants[0] + carry
+    intervals[1:] = instants[1:] - instants[:-1]
+    length_counts = np.bincount(ends - instants[:, 0])
+    y, f = intervals[in_block], block[in_block].astype(np.int64)
+    per_group = np.stack((y.sum(axis=0), (y * y).sum(axis=0), (y * f).sum(axis=0)))
+    pooled = k * np.stack((y.sum(axis=1), (y * y + 2 * y + (k + 1) * y * f).sum(axis=1)))
+    return length_counts, ends[-1] - instants[-1], per_group, pooled
 
 
 def exact_pooled_standard_error(pooled_intervals, pooled_double_areas, n: int) -> float:

@@ -18,6 +18,7 @@ from oracles import (
     flagged_group_count_pmf,
     group_outcome,
     group_times,
+    instants_fold_block,
     nearest_float_sqrt,
     oracle_flags,
     per_source_age_estimate,
@@ -570,6 +571,88 @@ def test_fold_fed_positions_equals_whole_chunk_fold_and_reference(run):
         assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
 
 
+# The widest group count whose dense blocks fold in int32: m^3 < 2^31 <= (m + 1)^3.
+INT32_M = 1290
+
+
+def check_fold_block_against_instants(block, in_block, prior_row, k):
+    """_fold_block on flags after prior_row, the previous block's last row, equals the instants-based oracle."""
+    rows, m = block.shape
+    suffix = np.cumsum(prior_row[::-1])[::-1]  # flags at or after each group in the prior row
+    carry = suffix.astype(np.int32)
+    group_sums = np.zeros((4, m), dtype=np.int64)
+    counts, deviations = sim._fold_block(block, in_block, carry, group_sums, k)
+    lengths, carry_time, per_group, pooled = instants_fold_block(block, in_block, m - np.arange(m) + k * suffix, k)
+    lengths = np.pad(lengths, (0, m * (k + 1) + 1 - len(lengths)))  # a cycle lasts m + k*F slots
+    assert np.array_equal(lengths[m::k], np.pad(counts, (0, m + 1 - len(counts))))
+    assert lengths.sum() == counts.sum() == rows
+    assert np.array_equal(carry_time, m - np.arange(m) + k * carry)
+    busy = len(range(rows)[in_block]) if isinstance(in_block, slice) else len(in_block)
+    sum_c, sum_cc, sum_cf, sum_f = (row.astype(object) for row in group_sums)
+    assert list(per_group[0]) == list(busy * m + k * sum_c)
+    assert list(per_group[1]) == list(busy * m * m + 2 * m * k * sum_c + k * k * sum_cc)
+    assert list(per_group[2]) == list(m * sum_f + k * sum_cf)
+    assert np.array_equal(pooled - np.array([[k * m * m], [k * m * m * (m + 2)]]), deviations)
+
+
+@st.composite
+def fold_blocks(draw):
+    """(block, in_block, prior row, k): random flags at a random density, with the busy rows as a slice or an index array."""
+    m = draw(st.sampled_from([1, 2, 3, 7, 30, INT32_M, INT32_M + 1]))
+    rows = draw(st.integers(min_value=1, max_value=3 if m >= INT32_M else 40))
+    k = draw(st.sampled_from([1, 2, 5, 1000]))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    block = rng.random((rows, m)) < density
+    prior_row = rng.random(m) < density
+    if draw(st.booleans()):
+        start = draw(st.integers(min_value=0, max_value=rows))
+        in_block = slice(start, draw(st.integers(min_value=start, max_value=rows)) if draw(st.booleans()) else None)
+    else:
+        in_block = np.flatnonzero(rng.random(rows) < draw(st.sampled_from([0.0, 0.5, 1.0])))
+    return block, in_block, prior_row, k
+
+
+@settings(deadline=None, max_examples=200)
+@given(fold_blocks())
+def test_fold_block_equals_the_instants_fold(case):
+    check_fold_block_against_instants(*case)
+
+
+@pytest.mark.parametrize("rows", [INT32_M, INT32_M + 1])
+def test_fold_block_is_exact_at_the_int32_bound(rows):
+    # every slot flagged: each C is m, so a group's sum of C^2 over the rows and a
+    # row's are rows*m^2 and m^3; at rows = 1290 both sit just below 2^31 and the
+    # block folds in int32, at 1291 rows*m^2 passes 2^31 and it folds in int64
+    assert INT32_M**3 < 2**31 <= (INT32_M + 1) ** 3
+    assert (rows * INT32_M**2 < 2**31) == (rows == INT32_M)
+    block = np.ones((rows, INT32_M), dtype=bool)
+    for in_block in (slice(0, None), slice(1, None), np.arange(0, rows, 2)):
+        check_fold_block_against_instants(block, in_block, np.ones(INT32_M, dtype=bool), 1)
+
+
+@pytest.mark.parametrize("share", [0.0, math.inf])
+@pytest.mark.parametrize("m", [INT32_M, INT32_M + 1])
+def test_runs_at_the_int32_group_bound_are_exact(m, share):
+    # k = 1, so the groups are the sources; m = 1290 folds its dense chunks in
+    # int32 and m = 1291 in int64. Share 0 folds every chunk whole, share inf
+    # gathers the busy rows of every chunk. 210 cycles are two chunks.
+    num_cycles = sim._cycles_per_chunk(validate_config(m, 0.5, 1)) + 7
+    with mock.patch.object(sim, "_GATHER_SHARE", share):
+        everything = simulate_age(validate_config(m, 1.0, 1), num_cycles, seed=0)
+        assert (everything.per_source_age == m + 2).all()
+        assert everything.overall_age == m + 2
+        assert everything.standard_error == 0.0
+        assert everything.flag_counts[m] == num_cycles
+        cfg = validate_config(m, 0.5, 1)
+        assert draws_uniforms(cfg, num_cycles)
+        summary = simulate_age(cfg, num_cycles, seed=9)
+    per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed=9))
+    assert np.array_equal(summary.per_source_age, per_source)
+    assert summary.overall_age == overall
+    assert summary.standard_error == se > 0.0
+
+
 def test_streaming_peak_memory_is_one_chunk():
     cfg = validate_config(1200, 0.01, 24)
     tracemalloc.start()
@@ -607,6 +690,18 @@ def test_near_all_clear_run_memory_follows_its_flags():
     cfg = validate_config(1, 1e-12, 1)
     assert not draws_uniforms(cfg, 10**9)
     assert traced_peak(simulate_age, cfg, 10**9, 0) < 2**20
+
+
+def test_slot_run_memory_does_not_grow_with_its_flagged_cycles():
+    # N*m*qbar = 0.9: the run draws only its flagged slots, and each flagged
+    # cycle is a stretch of its own, so no fold block holds more than one row
+    cfg = validate_config(50_000, 1.8e-7, 1)
+    assert not draws_uniforms(cfg, 100)
+    flagged_cycles = {seed: len(np.unique(sim._flagged_slots(cfg, seed, 100) // cfg.m)) for seed in range(60)}
+    one = next(seed for seed, count in flagged_cycles.items() if count == 1)
+    many = max(flagged_cycles, key=flagged_cycles.get)
+    assert flagged_cycles[many] >= 4
+    assert traced_peak(simulate_age, cfg, 100, many) <= traced_peak(simulate_age, cfg, 100, one) + 2**16
 
 
 @st.composite
