@@ -36,7 +36,9 @@ SIMULATION_ALPHA = math.erfc(3.0 / math.sqrt(2.0))
 # Largest working set of age-vs-n's rows, at _AGE_VS_N_ROW_BYTES each, in
 # bytes; over it, age-vs-n exits 1 up front. simulate and validate admit what
 # sim._check_int64_totals admits, at most m = 1 321 122 groups and n < 2^21
-# sources, and their largest such runs peak under it (244 MiB at most, traced).
+# sources, and their largest such runs peak well under it: traced, 168 MiB for
+# validate --n 1321122 --p 0.5 --k 1 --cycles 50 --seeds 0, and 200 MiB for the
+# slot-drawn run at --p 7e-9 --cycles 100 (221 MiB with --seeds 0,2,3,25).
 MEMORY_BUDGET_BYTES = 2**30
 # Peak bytes per age-vs-n row (its tuple, numbers and CSV line), under
 # tracemalloc: 313 to 330 over 20 000 to 40 000 rows.

@@ -37,7 +37,9 @@ int64 algebra. An interval between two all-clear cycles has C = 0 and F = 0
 in every group, so the fold only counts it, and its work follows the
 intervals that touch a flagged cycle. Where few rows can be busy, the fold
 takes a chunk's flagged slots as flat positions cycle*m + group and builds
-only the rows around them.
+only the rows around them. It folds every block as consecutive rows: a
+built row whose chunk row before it was left out is all clear, and so is
+the built row before it, so it folds to C = F = 0 either way.
 
 A run that expects fewer than SLOT_SAMPLER_FLAGS (one) flagged group-cycle,
 N*m*qbar < 1, p = 0 included, draws no uniform per slot: it draws only its
@@ -51,9 +53,9 @@ uniforms.
 
 A run is admitted by _check_int64_totals alone, which refuses every m above
 1 321 122 and every n >= 2^21. At the largest admitted shapes, under
-tracemalloc, a two-cycle run at p = 0.5 peaks at 138 MiB (m = 1 321 122,
-k = 1) and 39 MiB (m = 1, k = 1 664 509), and a 100-cycle slot-drawn run at
-m = 1 321 122 at 173 MiB whether one or four of its cycles are flagged.
+tracemalloc, a two-cycle run at p = 0.5 peaks at 137 MiB (m = 1 321 122,
+k = 1) and 38 MiB (m = 1, k = 1 664 509), and a 100-cycle slot-drawn run at
+m = 1 321 122 at 171 MiB whether one or four of its cycles are flagged.
 """
 
 from __future__ import annotations
@@ -170,11 +172,11 @@ def _flagged_slot_stretches(config: SystemConfig, seed: int, num_cycles: int) ->
         yield _FlaggedSlots(end - start, positions[low:high] - start * m)
 
 
-def _add_exact_sums(totals: list[int], deviations: np.ndarray, lead, follow) -> None:
-    """Add the exact sums of a chunk's (2, rows) int64 values (u, v), 0 <= u <= v, into nine Python ints.
+def _add_exact_sums(totals: list[int], deviations: np.ndarray) -> None:
+    """Add the exact sums of a block's (2, rows) int64 values (u, v), 0 <= u <= v, into nine Python ints.
 
     In order: sum u, sum v; the sums of uu, uv and vv over the rows; and of
-    uu, uv, vu and vv over the lag pairs, row lead[i] then row follow[i].
+    uu, uv, vu and vv over the lag pairs, each row then the next.
     Each sum of products is at most max v * sum v, so while that is below
     2^63 every int64 dot is exact. Otherwise the values are split into limbs
     of (62 - bit length of rows) // 2 bits, whose dots over the rows stay
@@ -192,27 +194,25 @@ def _add_exact_sums(totals: list[int], deviations: np.ndarray, lead, follow) -> 
         sums = [sum(int(part[i].sum()) << shift for shift, part in limbs) for i in (0, 1)]
     totals[0] += sums[0]
     totals[1] += sums[1]
-    limbs = [(shift, part, part[:, lead], part[:, follow]) for shift, part in limbs]
-    for shift, (u, v), (u_lead, v_lead), _ in limbs:
-        for other, (x, z), _, (x_follow, z_follow) in limbs:
-            products = (u @ x, u @ z, v @ z, u_lead @ x_follow, u_lead @ z_follow, v_lead @ x_follow, v_lead @ z_follow)
+    for shift, (u, v) in limbs:
+        for other, (x, z) in limbs:
+            products = (u @ x, u @ z, v @ z, u[:-1] @ x[1:], u[:-1] @ z[1:], v[:-1] @ x[1:], v[:-1] @ z[1:])
             for i, value in enumerate(products, start=2):
                 totals[i] += int(value) << (shift + other)
 
 
-def _fold_block(block: np.ndarray, in_block, carry: np.ndarray, sums: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """One block of cycles' group flags: (counts of its cycles by flag total, row deviations), its C sums added to sums.
 
     Row r's interval in group g spans the m group times before slot (r, g),
     so Y = m + k*C, with C the flags among those m slots: the difference,
     m slots apart, of one exclusive flat count of the block's flags, which
     starts at -carry, per group the flags at or after it in the previous
-    block's last row. carry is then overwritten with this block's. Over the
-    busy rows in_block, a slice of consecutive rows or an index array, it
-    adds the sums of C, C^2, C*F and F per group into the (4, m) int64 sums,
-    sum C telescoping when the rows are consecutive, and returns per row the
-    deviations u and v of the pooled sums over all n sources of Y and of the
-    double area Y^2 + 2*Y*S, which are k*sum Y and
+    block's last row. carry is then overwritten with this block's. Over its
+    rows from first_row (0 or 1) on, it adds the sums of C, C^2, C*F and F
+    per group into the (4, m) int64 sums, sum C telescoping, and returns per
+    row the deviations u and v of the pooled sums over all n sources of Y
+    and of the double area Y^2 + 2*Y*S, which are k*sum Y and
     k*sum (Y^2 + 2Y + (k+1)*Y*F), from a quiet row's k*m^2 and
     k*m^2*(m + 2). C <= m, so each sum of C, C^2 or C*F is at most m^3 or
     rows*m^2: the counts and those sums run in int32 while both are below
@@ -230,14 +230,10 @@ def _fold_block(block: np.ndarray, in_block, carry: np.ndarray, sums: np.ndarray
     row_flags = np.subtract(counts[2 * m :: m], counts[m:-1:m], dtype=np.int64)
     np.subtract(counts[-1], before[-1], out=carry, casting="same_kind")
     length_counts = np.bincount(row_flags)
-    group = np.empty((4, m), dtype=narrow)  # over the busy rows: sum C, sum C^2, sum C*F, sum F
-    if isinstance(in_block, slice):
-        start, stop, _ = in_block.indices(rows)
-        np.subtract(before[max(start, stop)], before[start], out=group[0])
+    group = np.empty((4, m), dtype=narrow)  # over the rows from first_row: sum C, sum C^2, sum C*F, sum F
+    np.subtract(before[-1], before[first_row], out=group[0])
     del counts, before  # before the reductions' temporaries
-    c, f, row_flags = c[in_block], block[in_block].astype(narrow), row_flags[in_block]
-    if not isinstance(in_block, slice):
-        np.einsum("ij->j", c, out=group[0])
+    c, f, row_flags = c[first_row:], block[first_row:].astype(narrow), row_flags[first_row:]
     np.einsum("ij,ij->j", c, c, out=group[1])
     np.einsum("ij,ij->j", c, f, out=group[2])
     np.einsum("ij->j", f, out=group[3])
@@ -268,17 +264,21 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[new], np.cumsum(new) - 1
 
 
-def _gather(m: int, cycles: int, positions: np.ndarray, tail_flagged: bool, first_row: int) -> tuple[np.ndarray, ...]:
-    """A chunk's (block, in_block, busy rows), from the sorted flat positions cycle*m + group of its flagged slots.
+def _gather(m: int, cycles: int, positions: np.ndarray, tail_flagged: bool) -> tuple[np.ndarray, int, int]:
+    """A chunk's (block, first, last), from the sorted flat positions cycle*m + group of its flagged slots.
 
     Row c is busy when cycle c or c-1 is flagged, cycle -1 being the previous
-    chunk's last (flagged when tail_flagged); rows before first_row are not.
-    The block holds, in order, the (rows, m) flags of the rows r-1, r and r+1
-    of each flagged row r, which are the flagged rows, the busy rows and the
-    row before each busy row, and in_block is where the busy rows sit in it.
-    Each set is a run of sorted values interleaved from the one before, so
-    no step sorts or searches per flag, and the work and memory follow the
-    flags, not the chunk's cycles.
+    chunk's last (flagged when tail_flagged). The block holds, in order, the
+    (rows, m) flags of the rows r-1, r and r+1 of each flagged row r that lie
+    in the chunk, which are the busy rows and the row before each, and first
+    and last are the chunk rows where it starts and ends. A block row that is
+    not busy is the row r-1 before a flagged row r: it is all clear, and so
+    is the block row before it, or the previous chunk's last row when it
+    starts the block, so it folds to C = F = 0 as the chunk row before it
+    would give. The flagged rows, the busy rows and the block's rows are
+    each a run of sorted values interleaved from the one before, so no step
+    sorts or searches per flag, and the work and memory follow the flags,
+    not the chunk's cycles.
     """
     slot_rows = positions // m
     flagged, slot_at = _runs(slot_rows)
@@ -287,12 +287,10 @@ def _gather(m: int, cycles: int, positions: np.ndarray, tail_flagged: bool, firs
         slot_at += 1
     busy, busy_at = _runs(np.stack((flagged, flagged + 1), axis=1).ravel())
     rows, rows_at = _runs(np.stack((busy - 1, busy), axis=1).ravel())
-    in_block = rows_at[1::2]
     low, high = np.searchsorted(rows, (0, cycles))  # rows -2 and -1 come from row -1, and row `cycles` from the last
     block = np.zeros((high - low, m), dtype=bool)
-    block[in_block[busy_at[0::2][slot_at]] - low, positions - slot_rows * m] = True
-    keep = slice(*np.searchsorted(busy, (first_row, cycles)))
-    return block, in_block[keep] - low, busy[keep]
+    block[rows_at[1::2][busy_at[0::2][slot_at]] - low, positions - slot_rows * m] = True
+    return block, int(rows[low]), int(rows[high - 1])
 
 
 def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots]) -> tuple:
@@ -313,56 +311,50 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots
 
     Row c of a chunk is the interval that cycle c closes. When cycles c-1
     and c are both all clear, the row is quiet: it has C = F = 0 in every
-    group and u = v = 0, and is only counted. Busy rows are computed by
-    _fold_block on a block of cycles: the whole chunk, or, for _FlaggedSlots
+    group and u = v = 0, and is only counted. _fold_block folds each chunk
+    as one block of consecutive rows: the whole chunk, or, for _FlaggedSlots
     and for a flag array in which few rows can be busy, the _gather of its
-    flagged slots' positions. A whole chunk takes its lag
-    products from slices; a gather takes them over its rows that follow each
-    other. Across chunks it carries, per group, the flagged groups at or
-    after it in the chunk's last cycle, whether that cycle had a flag, and
-    (u, v) of the chunk's last row.
+    flagged slots' positions. A gathered block leaves out only quiet rows,
+    and a row it holds after a left-out one folds as the quiet row it is, so
+    the lag products are taken from row to row of the block, and across
+    chunks from the last chunk's last row to the block's first folded row.
+    Across chunks it carries, per group, the flagged groups at or after it
+    in the chunk's last cycle, whose first entry is that cycle's flag total,
+    and (u, v) of the chunk's last row.
     """
     m, k = config.m, config.k
     sums = np.zeros((4, m), dtype=np.int64)  # per group: sum C, sum C^2, sum C*F, sum F
     length_counts = np.zeros(m + 1, dtype=np.int64)
     deviation_sums = [0] * 9  # as _add_exact_sums orders them
-    first = tail = (0, 0)  # (u, v) of the run's first interval and of the last chunk's last row
+    opening = tail = (0, 0)  # (u, v) of the run's first interval and of the last chunk's last row
     carry = np.zeros(m, dtype=np.int32)  # flags at or after each group in the last cycle; none before cycle 0
-    tail_flagged, end = False, 0
+    end = 0
     for chunk in flag_chunks:
         if isinstance(chunk, _FlaggedSlots):
             cycles, positions = chunk
-        else:  # a flag array has at most 2*hits + tail_flagged busy rows
+        else:  # a flag array has at most 2*hits + 1 busy rows, the 1 when the last cycle was flagged
             cycles = len(chunk)
-            gather = 2 * np.count_nonzero(chunk) + tail_flagged < _GATHER_SHARE * cycles
+            gather = 2 * np.count_nonzero(chunk) + (carry[0] > 0) < _GATHER_SHARE * cycles
             positions = np.flatnonzero(chunk) if gather else None
         start, end = end, end + cycles
-        first_row = 1 if start == 0 else 0  # cycle 0 closes no interval
         if positions is None:
-            block, in_block, in_chunk = chunk, slice(first_row, None), range(first_row, cycles)
-            lead, follow = slice(None, -1), slice(1, None)
-            tail_flagged = bool(chunk[-1].any())
-        elif not len(positions) and not tail_flagged:  # no flag here or in the cycle before: all rows quiet
+            block, first, last = chunk, 0, cycles - 1
+        elif not len(positions) and not carry[0]:  # no flag here or in the cycle before: all rows quiet
             tail = (0, 0)
             continue
         else:
-            block, in_block, in_chunk = _gather(m, cycles, positions, tail_flagged, first_row)
-            lead = np.flatnonzero(np.diff(in_chunk) == 1)
-            follow = lead + 1
-            tail_flagged = len(positions) > 0 and int(positions[-1]) >= (cycles - 1) * m
-        if len(block):
-            counts, deviations = _fold_block(block, in_block, carry, sums, k)
-            length_counts[: len(counts)] += counts
-        if not len(in_chunk):
-            tail = (0, 0)
+            block, first, last = _gather(m, cycles, positions, carry[0] > 0)
+        first_row = 1 if start + first == 0 else 0  # cycle 0 closes no interval
+        counts, deviations = _fold_block(block, first_row, carry, sums, k)
+        length_counts[: len(counts)] += counts
+        if not deviations.shape[1]:  # a one-cycle first chunk: no interval, and tail stays (0, 0)
             continue
-        _add_exact_sums(deviation_sums, deviations, lead, follow)
-        if in_chunk[0] == 0:  # the chunk's first row follows the previous chunk's last
-            head = deviations[:, 0].tolist()
-            deviation_sums[5:] = [total + a * b for total, (a, b) in zip(deviation_sums[5:], product(tail, head))]
-        if start + in_chunk[0] == 1:
-            first = tuple(deviations[:, 0].tolist())
-        tail = tuple(deviations[:, -1].tolist()) if in_chunk[-1] == cycles - 1 else (0, 0)
+        _add_exact_sums(deviation_sums, deviations)
+        head = deviations[:, 0].tolist()
+        deviation_sums[5:] = [total + a * b for total, (a, b) in zip(deviation_sums[5:], product(tail, head))]
+        if start + first + first_row == 1:
+            opening = tuple(head)
+        tail = tuple(deviations[:, -1].tolist()) if last == cycles - 1 else (0, 0)
         del deviations  # so that the next chunk's draw and fold do not overlap it
     length_counts[0] += end - length_counts.sum()
     # in place, sum Y = (N-1)*m + k*sum C, sum Y^2 = (N-1)*m^2 + 2mk*sum C + k^2*sum C^2 and
@@ -374,7 +366,7 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots
     np.multiply(sums[0], 2 * m, out=sums[3])
     sums[1] += sums[3]
     sums[:2] += np.array([[intervals * m], [intervals * m * m]], dtype=np.int64)
-    return sums[:3], length_counts, intervals, deviation_sums, first, tail
+    return sums[:3], length_counts, intervals, deviation_sums, opening, tail
 
 
 def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots]) -> AgeSummary:

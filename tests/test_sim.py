@@ -571,33 +571,69 @@ def test_fold_fed_positions_equals_whole_chunk_fold_and_reference(run):
         assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
 
 
+@st.composite
+def gather_chunks(draw):
+    """(m, cycles, sorted flat positions, tail_flagged): a few flagged slots, some side by side and on the chunk's edges."""
+    m = draw(st.sampled_from([1, 2, 3, 7]))
+    cycles = draw(st.integers(min_value=1, max_value=30))
+    rows = draw(st.lists(st.sampled_from([0, min(1, cycles - 1), cycles - 1]) | st.integers(0, cycles - 1), max_size=8))
+    groups = draw(st.lists(st.integers(0, m - 1), min_size=len(rows), max_size=len(rows)))
+    positions = np.unique(np.array(rows, dtype=np.int64) * m + np.array(groups, dtype=np.int64))
+    tail_flagged = draw(st.booleans()) or not len(positions)  # _fold gathers no chunk without either
+    return m, cycles, positions, tail_flagged
+
+
+@settings(deadline=None, max_examples=200)
+@given(gather_chunks())
+def test_gather_keeps_the_busy_rows_and_only_all_clear_rows_besides(case):
+    m, cycles, positions, tail_flagged = case
+    block, first, last = sim._gather(m, cycles, positions, tail_flagged)
+    flags = np.zeros(cycles * m, dtype=bool)
+    flags[positions] = True
+    flags = flags.reshape(cycles, m)
+    flagged = np.unique(positions // m)
+    candidates = np.concatenate((flagged - 1, flagged, flagged + 1, np.zeros(int(tail_flagged), dtype=np.int64)))
+    rows = np.unique(candidates[(candidates >= 0) & (candidates < cycles)])
+    assert np.array_equal(block, flags[rows])
+    assert (first, last) == (rows[0], rows[-1])
+    busy = flags.any(axis=1) | np.concatenate(([tail_flagged], flags[:-1].any(axis=1)))
+    assert set(np.flatnonzero(busy)) <= set(rows.tolist())
+    for i, row in enumerate(rows):
+        if busy[row]:  # folded after the chunk row before it, or after the previous chunk's last
+            assert rows[i - 1] == row - 1 if row else i == 0
+        else:  # all clear after an all-clear row, so it folds to C = F = 0 as a quiet row
+            assert not block[i].any()
+            assert not block[i - 1].any() if i else not tail_flagged
+
+
 # The widest group count whose dense blocks fold in int32: m^3 < 2^31 <= (m + 1)^3.
 INT32_M = 1290
 
 
-def check_fold_block_against_instants(block, in_block, prior_row, k):
+def check_fold_block_against_instants(block, first_row, prior_row, k):
     """_fold_block on flags after prior_row, the previous block's last row, equals the instants-based oracle."""
     rows, m = block.shape
     suffix = np.cumsum(prior_row[::-1])[::-1]  # flags at or after each group in the prior row
     carry = suffix.astype(np.int32)
     group_sums = np.zeros((4, m), dtype=np.int64)
-    counts, deviations = sim._fold_block(block, in_block, carry, group_sums, k)
+    counts, deviations = sim._fold_block(block, first_row, carry, group_sums, k)
+    in_block = slice(first_row, None)  # the rows _fold_block folds
     lengths, carry_time, per_group, pooled = instants_fold_block(block, in_block, m - np.arange(m) + k * suffix, k)
     lengths = np.pad(lengths, (0, m * (k + 1) + 1 - len(lengths)))  # a cycle lasts m + k*F slots
     assert np.array_equal(lengths[m::k], np.pad(counts, (0, m + 1 - len(counts))))
     assert lengths.sum() == counts.sum() == rows
     assert np.array_equal(carry_time, m - np.arange(m) + k * carry)
-    busy = len(range(rows)[in_block]) if isinstance(in_block, slice) else len(in_block)
+    folded = rows - first_row
     sum_c, sum_cc, sum_cf, sum_f = (row.astype(object) for row in group_sums)
-    assert list(per_group[0]) == list(busy * m + k * sum_c)
-    assert list(per_group[1]) == list(busy * m * m + 2 * m * k * sum_c + k * k * sum_cc)
+    assert list(per_group[0]) == list(folded * m + k * sum_c)
+    assert list(per_group[1]) == list(folded * m * m + 2 * m * k * sum_c + k * k * sum_cc)
     assert list(per_group[2]) == list(m * sum_f + k * sum_cf)
     assert np.array_equal(pooled - np.array([[k * m * m], [k * m * m * (m + 2)]]), deviations)
 
 
 @st.composite
 def fold_blocks(draw):
-    """(block, in_block, prior row, k): random flags at a random density, with the busy rows as a slice or an index array."""
+    """(block, first row, prior row, k): random flags at a random density, folded from row 0 or row 1."""
     m = draw(st.sampled_from([1, 2, 3, 7, 30, INT32_M, INT32_M + 1]))
     rows = draw(st.integers(min_value=1, max_value=3 if m >= INT32_M else 40))
     k = draw(st.sampled_from([1, 2, 5, 1000]))
@@ -605,12 +641,7 @@ def fold_blocks(draw):
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     block = rng.random((rows, m)) < density
     prior_row = rng.random(m) < density
-    if draw(st.booleans()):
-        start = draw(st.integers(min_value=0, max_value=rows))
-        in_block = slice(start, draw(st.integers(min_value=start, max_value=rows)) if draw(st.booleans()) else None)
-    else:
-        in_block = np.flatnonzero(rng.random(rows) < draw(st.sampled_from([0.0, 0.5, 1.0])))
-    return block, in_block, prior_row, k
+    return block, draw(st.sampled_from([0, 1])), prior_row, k
 
 
 @settings(deadline=None, max_examples=200)
@@ -627,8 +658,8 @@ def test_fold_block_is_exact_at_the_int32_bound(rows):
     assert INT32_M**3 < 2**31 <= (INT32_M + 1) ** 3
     assert (rows * INT32_M**2 < 2**31) == (rows == INT32_M)
     block = np.ones((rows, INT32_M), dtype=bool)
-    for in_block in (slice(0, None), slice(1, None), np.arange(0, rows, 2)):
-        check_fold_block_against_instants(block, in_block, np.ones(INT32_M, dtype=bool), 1)
+    for first_row in (0, 1):
+        check_fold_block_against_instants(block, first_row, np.ones(INT32_M, dtype=bool), 1)
 
 
 @pytest.mark.parametrize("share", [0.0, math.inf])
@@ -706,7 +737,7 @@ def test_slot_run_memory_does_not_grow_with_its_flagged_cycles():
 
 @st.composite
 def deviation_chunks(draw):
-    """(2, rows) int64 values 0 <= u <= v, as large as the chunk's row count allows, and lag pairs."""
+    """(2, rows) int64 values 0 <= u <= v, as large as the chunk's row count allows."""
     rows = draw(st.integers(min_value=1, max_value=300))
     bits = draw(st.sampled_from([1, 8, 20, 31, 40, 62]))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -714,23 +745,14 @@ def deviation_chunks(draw):
     v = rng.integers(0, 2**bits, size=rows, dtype=np.int64)
     v[rng.integers(rows)] = 2**bits - 1  # the chunk maximum sits at the top of the range
     u = (v * rng.random(rows)).astype(np.int64)
-    if draw(st.booleans()):  # a whole chunk: every row is followed by the next
-        lead, follow = slice(None, -1), slice(1, None)
-    else:  # a gather: lag pairs only where rows of the chunk follow each other
-        chunk_rows = np.sort(rng.choice(3 * rows, size=rows, replace=False))
-        lead = np.flatnonzero(np.diff(chunk_rows) == 1)
-        follow = lead + 1
-    return np.stack((np.minimum(u, v), v)), lead, follow
+    return np.stack((np.minimum(u, v), v))
 
 
 @settings(deadline=None, max_examples=200)
 @given(deviation_chunks())
-def test_exact_sums_equal_python_integer_sums(case):
-    deviations, lead, follow = case
+def test_exact_sums_equal_python_integer_sums(deviations):
     u, v = ([int(x) for x in row] for row in deviations)
-    leads = range(len(u))[lead] if isinstance(lead, slice) else lead.tolist()
-    follows = range(len(u))[follow] if isinstance(follow, slice) else follow.tolist()
-    lagged = list(zip(leads, follows))
+    lagged = [(i, i + 1) for i in range(len(u) - 1)]
     expected = [
         sum(u),
         sum(v),
@@ -743,7 +765,7 @@ def test_exact_sums_equal_python_integer_sums(case):
         sum(v[i] * v[j] for i, j in lagged),
     ]
     totals = [0] * 9
-    sim._add_exact_sums(totals, deviations, lead, follow)
+    sim._add_exact_sums(totals, deviations)
     assert totals == expected
 
 
