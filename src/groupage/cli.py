@@ -38,7 +38,7 @@ SIMULATION_ALPHA = math.erfc(3.0 / math.sqrt(2.0))
 # sim._check_int64_totals admits, at most m = 1 321 122 groups and n < 2^21
 # sources, and their largest such runs peak well under it: traced, 168 MiB for
 # validate --n 1321122 --p 0.5 --k 1 --cycles 50 --seeds 0, and 200 MiB for the
-# slot-drawn run at --p 7e-9 --cycles 100 (221 MiB with --seeds 0,2,3,25).
+# slot-drawn run at --p 7e-9 --cycles 100, with --seeds 0 or --seeds 0,2,3,25.
 MEMORY_BUDGET_BYTES = 2**30
 # Peak bytes per age-vs-n row (its tuple, numbers and CSV line), under
 # tracemalloc: 313 to 330 over 20 000 to 40 000 rows.
@@ -203,6 +203,7 @@ def cmd_simulate(n: int, p: float, k: int, cycles: int, seeds: list[int], out: s
                 moments.mean_service,
             )
         )
+        del summary  # so that it is freed before the next seed's run, not kept alongside it
     _write_csv(
         [
             "n",
@@ -324,6 +325,7 @@ def cmd_validate(n: int, p: float, k: int, cycles: int, seeds: list[int]) -> int
                 f"{'PASS' if ok else 'FAIL'}: simulation seed={seed} {label}: "
                 f"estimate {value:.6g} vs {reference:.6g} (3se = {3.0 * se:.3g})"
             )
+        del summary  # so that it is freed before the next seed's run, not kept alongside it
     if not analytic_ok:
         return EXIT_ANALYTIC_MISMATCH
     if not statistical_ok:

@@ -37,9 +37,10 @@ int64 algebra. An interval between two all-clear cycles has C = 0 and F = 0
 in every group, so the fold only counts it, and its work follows the
 intervals that touch a flagged cycle. Where few rows can be busy, the fold
 takes a chunk's flagged slots as flat positions cycle*m + group and builds
-only the rows around them. It folds every block as consecutive rows: a
-built row whose chunk row before it was left out is all clear, and so is
-the built row before it, so it folds to C = F = 0 either way.
+only the rows r-1, r and r+1 around each flagged row r, merged from those
+three sorted runs by one stable sort. It folds every block as consecutive
+rows: a built row whose chunk row before it was left out is all clear, and
+so is the built row before it, so it folds to C = F = 0 either way.
 
 A run that expects fewer than SLOT_SAMPLER_FLAGS (one) flagged group-cycle,
 N*m*qbar < 1, p = 0 included, draws no uniform per slot: it draws only its
@@ -78,7 +79,8 @@ from .analytic import MomentSet
 CHUNK_DRAWS = 2**18
 # _fold gathers a chunk's busy rows when at most this share of its rows can be busy, and
 # otherwise takes the whole chunk. Measured on 2 vCPUs (numpy 2.4), the two cost the same
-# at a bound of about 0.38 of the rows at m = 1 to 4, 0.65 at m = 30 and 1.0 at m = 10^4.
+# at a bound of about 0.5 to 0.6 of the rows at m = 1 to 4, 0.75 at m = 30 and 1.2 to 1.3
+# at m = 200 and 10^4.
 _GATHER_SHARE = 0.35
 # A run expecting fewer flagged group-cycles than this, N*m*qbar, draws only its flagged slots,
 # by _flagged_slots. At about 1.5 us a flag, the slot draw measured faster than the uniform draw
@@ -256,41 +258,35 @@ def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.n
     return length_counts, deviations
 
 
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a sorted int64 array, and the index of each of its values among them."""
-    new = np.empty(len(values), dtype=bool)
-    new[:1] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    return values[new], np.cumsum(new) - 1
-
-
 def _gather(m: int, cycles: int, positions: np.ndarray, tail_flagged: bool) -> tuple[np.ndarray, int, int]:
     """A chunk's (block, first, last), from the sorted flat positions cycle*m + group of its flagged slots.
 
     Row c is busy when cycle c or c-1 is flagged, cycle -1 being the previous
     chunk's last (flagged when tail_flagged). The block holds, in order, the
-    (rows, m) flags of the rows r-1, r and r+1 of each flagged row r that lie
-    in the chunk, which are the busy rows and the row before each, and first
-    and last are the chunk rows where it starts and ends. A block row that is
-    not busy is the row r-1 before a flagged row r: it is all clear, and so
-    is the block row before it, or the previous chunk's last row when it
-    starts the block, so it folds to C = F = 0 as the chunk row before it
-    would give. The flagged rows, the busy rows and the block's rows are
-    each a run of sorted values interleaved from the one before, so no step
-    sorts or searches per flag, and the work and memory follow the flags,
-    not the chunk's cycles.
+    (rows, m) flags of the chunk rows r-1, r and r+1 of each flagged row r,
+    and row 0 when the tail is flagged: the busy rows and the row before
+    each. first and last are the chunk rows where it starts and ends. A
+    block row that is not busy is the row r-1 before a flagged row r: it is
+    all clear, and so is the block row before it, or the previous chunk's
+    last row when it starts the block, so it folds to C = F = 0 as the chunk
+    row before it would give. The runs r-1, r and r+1 over the sorted slots
+    are each sorted, so one stable sort of them, timsort on int64, is a
+    linear merge. Duplicates and rows outside the chunk are then dropped,
+    and each slot finds its row by binary search. The work and memory
+    follow the flags, not the chunk's cycles.
     """
     slot_rows = positions // m
-    flagged, slot_at = _runs(slot_rows)
+    runs = [slot_rows - 1, slot_rows, slot_rows + 1]
     if tail_flagged:
-        flagged = np.concatenate(([-1], flagged))
-        slot_at += 1
-    busy, busy_at = _runs(np.stack((flagged, flagged + 1), axis=1).ravel())
-    rows, rows_at = _runs(np.stack((busy - 1, busy), axis=1).ravel())
-    low, high = np.searchsorted(rows, (0, cycles))  # rows -2 and -1 come from row -1, and row `cycles` from the last
-    block = np.zeros((high - low, m), dtype=bool)
-    block[rows_at[1::2][busy_at[0::2][slot_at]] - low, positions - slot_rows * m] = True
-    return block, int(rows[low]), int(rows[high - 1])
+        runs.append(np.zeros(1, dtype=np.int64))
+    near = np.concatenate(runs)
+    near.sort(kind="stable")
+    low, high = np.searchsorted(near, (0, cycles))
+    near = near[low:high]  # row -1 lies before the chunk, and row `cycles` after it
+    rows = near[np.concatenate(([True], near[1:] != near[:-1]))]
+    block = np.zeros((len(rows), m), dtype=bool)
+    block[np.searchsorted(rows, slot_rows), positions - slot_rows * m] = True
+    return block, int(rows[0]), int(rows[-1])
 
 
 def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots]) -> tuple:

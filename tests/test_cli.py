@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -396,6 +398,27 @@ def test_largest_admitted_runs_fit_the_budget(capsys):
             tracemalloc.stop()
         assert code == EXIT_OK, capsys.readouterr().err
         assert peak < cli.MEMORY_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_each_seed_frees_the_previous_seeds_summary(command, capsys):
+    # a summary holds (m, k) ages and m + 1 flag counts, so at large m a
+    # multi-seed run that kept the last one through the next seed's run
+    # would peak one summary higher than a single seed
+    earlier = []
+    simulate_age = sim.simulate_age
+
+    def tracked(*args):
+        gc.collect()
+        assert all(summary() is None for summary in earlier), "an earlier seed's AgeSummary is still alive"
+        summary = simulate_age(*args)
+        earlier.append(weakref.ref(summary))
+        return summary
+
+    with mock.patch.object(sim, "simulate_age", tracked):
+        code = main([command, "--n", "12", "--p", "0.2", "--k", "3", "--cycles", "1000", "--seeds", "0,1,2"])
+    assert code == EXIT_OK, capsys.readouterr()
+    assert len(earlier) == 3
 
 
 def test_huge_n_range_exits_one_before_any_optimizer_call(capsys):

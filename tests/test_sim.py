@@ -583,8 +583,24 @@ def gather_chunks(draw):
     return m, cycles, positions, tail_flagged
 
 
+@st.composite
+def dense_gather_chunks(draw):
+    """(m, cycles, sorted flat positions, tail_flagged): long chunks with up to a third of their slots flagged.
+
+    Flagged rows then often sit one or two apart, so the rows r-1, r and r+1
+    around neighbouring flagged rows overlap.
+    """
+    m = draw(st.integers(min_value=1, max_value=30))
+    cycles = draw(st.integers(min_value=100, max_value=400))
+    count = draw(st.integers(min_value=0, max_value=cycles * m // 3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    positions = np.sort(rng.choice(cycles * m, size=count, replace=False))
+    tail_flagged = draw(st.booleans()) or not len(positions)
+    return m, cycles, positions, tail_flagged
+
+
 @settings(deadline=None, max_examples=200)
-@given(gather_chunks())
+@given(gather_chunks() | dense_gather_chunks())
 def test_gather_keeps_the_busy_rows_and_only_all_clear_rows_besides(case):
     m, cycles, positions, tail_flagged = case
     block, first, last = sim._gather(m, cycles, positions, tail_flagged)
