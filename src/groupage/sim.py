@@ -80,7 +80,9 @@ CHUNK_DRAWS = 2**18
 # _fold gathers a chunk's busy rows when at most this share of its rows can be busy, and
 # otherwise takes the whole chunk. Measured on 2 vCPUs (numpy 2.4), the two cost the same
 # at a bound of about 0.5 to 0.6 of the rows at m = 1 to 4, 0.75 at m = 30 and 1.2 to 1.3
-# at m = 200 and 10^4.
+# at m = 200 and 10^4. Per op the choice is within noise: 0.5 in place of 0.35 moved the
+# simulator time of the benchmark's validate ops (workload seed 1) from 0.136 to 0.133 s,
+# median of 10 alternating pairs, 0.5 faster in 5.
 _GATHER_SHARE = 0.35
 # A run expecting fewer flagged group-cycles than this, N*m*qbar, draws only its flagged slots,
 # by _flagged_slots. At about 1.5 us a flag, the slot draw measured faster than the uniform draw
@@ -178,25 +180,20 @@ def _add_exact_sums(totals: list[int], deviations: np.ndarray) -> None:
     """Add the exact sums of a block's (2, rows) int64 values (u, v), 0 <= u <= v, into nine Python ints.
 
     In order: sum u, sum v; the sums of uu, uv and vv over the rows; and of
-    uu, uv, vu and vv over the lag pairs, each row then the next.
-    Each sum of products is at most max v * sum v, so while that is below
-    2^63 every int64 dot is exact. Otherwise the values are split into limbs
-    of (62 - bit length of rows) // 2 bits, whose dots over the rows stay
-    below 2^62, and the limb dots are added with their shifts.
+    uu, uv, vu and vv over the lag pairs, each row then the next. The values
+    are split into as many limbs of (62 - bit length of rows) // 2 bits as
+    max v needs (u <= v needs no more), so that each limb sum and limb dot
+    over the rows is below 2^62; these are added with their shifts. Values
+    that fit in one limb take seven dots, and an all-zero block none.
     """
     rows = deviations.shape[1]
+    width = (62 - rows.bit_length()) // 2
+    mask = (1 << width) - 1
     top = int(deviations[1].max())
-    sums = deviations.sum(axis=1).tolist()  # exact while rows * top < 2^63
-    if rows * top < 2**63 and top * sums[1] < 2**63:
-        limbs = [(0, deviations)]
-    else:
-        width = (62 - rows.bit_length()) // 2
-        mask = (1 << width) - 1
-        limbs = [(shift, (deviations >> shift) & mask) for shift in range(0, top.bit_length(), width)]
-        sums = [sum(int(part[i].sum()) << shift for shift, part in limbs) for i in (0, 1)]
-    totals[0] += sums[0]
-    totals[1] += sums[1]
+    limbs = [(shift, (deviations >> shift) & mask) for shift in range(0, top.bit_length(), width)]
     for shift, (u, v) in limbs:
+        totals[0] += int(u.sum()) << shift
+        totals[1] += int(v.sum()) << shift
         for other, (x, z) in limbs:
             products = (u @ x, u @ z, v @ z, u[:-1] @ x[1:], u[:-1] @ z[1:], v[:-1] @ x[1:], v[:-1] @ z[1:])
             for i, value in enumerate(products, start=2):
@@ -353,23 +350,22 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots
         tail = tuple(deviations[:, -1].tolist()) if last == cycles - 1 else (0, 0)
         del deviations  # so that the next chunk's draw and fold do not overlap it
     length_counts[0] += end - length_counts.sum()
-    # in place, sum Y = (N-1)*m + k*sum C, sum Y^2 = (N-1)*m^2 + 2mk*sum C + k^2*sum C^2 and
-    # sum Y*F = m*sum F + k*sum C*F over all N-1 intervals, the quiet rows' C = F = 0 included
+    # over all N-1 intervals, the quiet rows' C = F = 0 included: sum Y, sum Y^2 and sum Y*F
     intervals = end - 1
-    sums[:3] *= np.array([[k], [k * k], [k]], dtype=np.int64)
-    sums[3] *= m
-    sums[2] += sums[3]
-    np.multiply(sums[0], 2 * m, out=sums[3])
-    sums[1] += sums[3]
-    sums[:2] += np.array([[intervals * m], [intervals * m * m]], dtype=np.int64)
-    return sums[:3], length_counts, intervals, deviation_sums, opening, tail
+    sum_c, sum_cc, sum_cf, sum_f = sums
+    interval_sums = (
+        intervals * m + k * sum_c,
+        intervals * m * m + 2 * m * k * sum_c + k * k * sum_cc,
+        m * sum_f + k * sum_cf,
+    )
+    return interval_sums, length_counts, intervals, deviation_sums, opening, tail
 
 
 def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots]) -> AgeSummary:
     """Renewal-reward age estimate from a run's group flags, fed in cycle order."""
     sums, flag_counts, *standard_error_sums = _fold(config, flag_chunks)
     k = config.k
-    interval_sum, interval_sq_sum, interval_flag_sum = sums[:, :, None]
+    interval_sum, interval_sq_sum, interval_flag_sum = (total[:, None] for total in sums)
     interval_service_sum = interval_sum + np.arange(1, k + 1, dtype=np.int64) * interval_flag_sum
     per_source = (0.5 * interval_sq_sum + interval_service_sum) / interval_sum
     return AgeSummary(
@@ -387,10 +383,10 @@ def _rounded_sqrt_ratio(x: int, d: int) -> float:
     shift = max(0, 56 + d.bit_length() - (x.bit_length() - 1) // 2)  # the quotient gets at least 57 bits
     scaled = x << (2 * shift)
     root = math.isqrt(scaled)
-    quotient, remainder = divmod(root, d)
-    # the dropped part lies below the rounding bit, so a set last bit stands for it and breaks no tie wrongly
-    inexact = remainder != 0 or root * root != scaled
-    return math.ldexp(float(quotient | inexact), -shift)
+    # int / int rounds once, to nearest (2^shift only scales). At 57 or more quotient bits every
+    # rounding boundary is an integer j, and no j*d lies strictly between root and root + 1, so an
+    # inexact root rounds as the midpoint (2*root + 1) / (2d) of [root/d, (root+1)/d) does.
+    return (2 * root + (root * root != scaled)) / (d << (shift + 1))
 
 
 def _pooled_standard_error(config: SystemConfig, intervals: int, deviation_sums: list[int], first, last) -> float:
