@@ -11,19 +11,21 @@ forms keep their digits when k*p << 1.
 
 Two exact oracles cross-check the closed forms without using them: a
 binomial convolution over the number of all-clear groups, and a full 2**n
-enumeration of status vectors as integer codes. The convolution is one
-whole-array numpy expression; the enumeration walks its codes in blocks.
+enumeration of status vectors as integer codes. The convolution sums the
+binomial pmf over the window that holds its mass, so its work follows the
+pmf's spread, not m; the enumeration walks its codes in blocks and counts
+them, exactly, by set bits and flagged groups, so its float work is over at
+most 21 x 21 classes. Neither sums by a BLAS dot.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, _checked_n
+from .model import SystemConfig, _checked_n, _log_all_clear
 
 __all__ = [
     "MomentSet",
@@ -105,30 +107,77 @@ def closed_form_moments(config: SystemConfig) -> MomentSet:
     )
 
 
+# The Binomial(trials, q) pmf is log-concave, so past a window end whose
+# log-pmf lies this far below the mode's every term is smaller still, and the
+# terms a window drops add up to less than trials*e^-800 of the peak: none
+# that a double could hold. The window's half-widths start here and double.
+_WINDOW_LOG_DROP = 800.0
+_WINDOW_START = 16
+
+
+def _binomial_window(trials: int, log_q: float, log_qbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """(z, pmf): the Binomial(trials, q) pmf at the consecutive counts z of the window that holds its mass.
+
+    Each term is exp(log C(trials, z) + z*log q + (trials - z)*log qbar),
+    with every log-factorial from math.lgamma, and the pmf is divided by its
+    own sum: the log-factorial differences cancel about trials*log(trials)
+    ulps, which would leave the mass 2.4e-9 short of 1 at trials = 1 321 122
+    and q = 0.5. The window runs from the mode floor((trials + 1)*q) out to
+    the first point on each side, at a doubling distance, whose log-pmf is
+    _WINDOW_LOG_DROP below the mode's, or to 0 and trials. No fixed count of
+    standard deviations would do: at trials = 10**5 and q = 1 - 1e-12 the
+    standard deviation is 3e-4, yet z = trials - 1 carries 1e-7 of the mass.
+    A log of -inf (q = 0 or 1) gives the exact point mass.
+    """
+    if log_q == -math.inf:
+        return np.zeros(1, dtype=np.int64), np.ones(1)
+    if log_qbar == -math.inf:
+        return np.full(1, trials, dtype=np.int64), np.ones(1)
+    log_total = math.lgamma(trials + 1)
+
+    def log_pmf(z: int) -> float:
+        return log_total - math.lgamma(z + 1) - math.lgamma(trials - z + 1) + z * log_q + (trials - z) * log_qbar
+
+    mode = min(trials, math.floor((trials + 1) * math.exp(log_q)))
+    cutoff = log_pmf(mode) - _WINDOW_LOG_DROP
+
+    def end(sign: int, limit: int) -> int:
+        width = _WINDOW_START
+        while width < sign * (limit - mode) and log_pmf(mode + sign * width) > cutoff:
+            width *= 2
+        return mode + sign * min(width, sign * (limit - mode))
+
+    def log_factorials(start: int, stop: int) -> np.ndarray:  # log(i!) for i = start..stop-1
+        return np.fromiter(map(math.lgamma, range(start + 1, stop + 1)), dtype=np.float64, count=stop - start)
+
+    lo, hi = end(-1, 0), end(1, trials)
+    first, stop = min(lo, trials - hi), max(hi, trials - lo) + 1
+    if stop - first <= 2 * (hi + 1 - lo):  # z! and (trials - z)! overlap: one table serves both
+        table = log_factorials(first, stop)
+        log_z, log_rest = table[lo - first : hi + 1 - first], table[trials - hi - first : trials - lo + 1 - first]
+    else:
+        log_z, log_rest = log_factorials(lo, hi + 1), log_factorials(trials - hi, trials - lo + 1)
+    z = np.arange(lo, hi + 1)
+    pmf = np.exp(log_total - log_z - log_rest[::-1] + z * log_q + (trials - z) * log_qbar)
+    return z, pmf / pmf.sum()
+
+
 def convolution_oracle(config: SystemConfig) -> MomentSet:
     """Exact moments from the m-fold sum of i.i.d. group times, without the closed-form algebra.
 
     With z of the m groups all clear, the cycle lasts m(k+1) - kz slots, and z
-    is Binomial(m, q); E[Y] and E[Y^2] are the exact binomial sums over
-    z = 0..m, whose pmf comes from a table of log-factorials and the logs
-    log q = k*log1p(-p) and log(qbar), divided by its own sum: the
-    log-factorial differences cancel about m*log(m) ulps, which would leave
-    the mass 2.4e-9 short of 1 at m = 1 321 122 and p = 0.5. Source j of a
-    group takes 1 + j slots when its group is flagged, so E[S] averages
-    1 + j*qbar over j = 1..k.
+    is Binomial(m, q); E[Y] and E[Y^2] are the binomial sums over the window
+    of z that holds the pmf's mass (_binomial_window), from log q =
+    k*log1p(-p) and log(qbar), so the work follows the pmf's spread, not m.
+    The sums are pairwise numpy sums, not BLAS dots. Source j of a group takes
+    1 + j slots when its group is flagged, so E[S] averages 1 + j*qbar over
+    j = 1..k.
     """
-    m, k, p, q, qbar = config.m, config.k, config.p, config.q, config.qbar
-    z = np.arange(m + 1)
-    if 0.0 < p < 1.0:
-        log_factorial = np.fromiter(map(math.lgamma, range(1, m + 2)), dtype=np.float64, count=m + 1)
-        log_choose = log_factorial[m] - log_factorial - log_factorial[::-1]
-        pmf = np.exp(log_choose + z * (k * math.log1p(-p)) + (m - z) * math.log(qbar))
-        pmf /= pmf.sum()
-    else:  # the exact point mass at z = 0 (q = 0) or z = m (q = 1)
-        pmf = (z == m * q).astype(np.float64)
+    m, k, qbar = config.m, config.k, config.qbar
+    z, pmf = _binomial_window(m, _log_all_clear(config.p, k), math.log(qbar) if qbar > 0.0 else -math.inf)
     cycle = (m * (k + 1) - k * z).astype(np.float64)
-    mean = float(pmf @ cycle)
-    second = float(pmf @ (cycle * cycle))
+    mean = float((pmf * cycle).sum())
+    second = float((pmf * (cycle * cycle)).sum())
     service = float(np.mean(1.0 + np.arange(1, k + 1) * qbar))
     return MomentSet(
         mean_cycle=mean,
@@ -138,17 +187,31 @@ def convolution_oracle(config: SystemConfig) -> MomentSet:
     )
 
 
+def _or_of_next_bits(codes, k: int):
+    """Bit i of the result is the OR of bits i..i+k-1 of codes (an int or an int array), by doubling spans."""
+    width = 1
+    while width < k:
+        step = min(width, k - width)
+        codes = codes | (codes >> step)
+        width += step
+    return codes
+
+
 def enumeration_oracle(config: SystemConfig) -> MomentSet:
     """Exact moments by enumerating all 2**n status vectors with their probabilities.
 
     Brute force over the raw model semantics, on the integer codes of the
-    status vectors (bit i is source i, group g holds bits gk..gk+k-1): a
-    code with w set bits has probability p^w (1-p)^(n-w); group g is flagged
-    when any of its bits is set, which the OR of k shifted copies of the code
-    gathers on bit gk; source j of a flagged group takes 1 + j slots, of an
-    all-clear one 1. The codes are walked in blocks of 2**16, each block's
-    expectations summed by numpy and the blocks' sums added exactly, so
-    memory is one block's and n <= 16 is one block. Limited to n <= 20.
+    status vectors (bit i is source i, group g holds bits gk..gk+k-1): group
+    g is flagged when any of its bits is set, which the OR of k shifted
+    copies of the code gathers on bit gk. The codes are walked in blocks of
+    2**16 and counted, exactly in int64, by their number w of set bits and f
+    of flagged groups; a block's bits from 16 up are shared by its codes, so
+    they add one popcount to w, and their flagged leaders one to f, per
+    block. A code of class (w, f) has probability p^w (1-p)^(n-w), its cycle
+    lasts m + k*f slots, and its sources' services add up to n +
+    f*k(k+1)/2; these weights are applied once, to at most 21 x 21 classes,
+    and summed by math.fsum. Memory is one block's, n <= 16 is one block,
+    and n is limited to 20.
     """
     n, m, k, p = config.n, config.m, config.k, config.p
     if n > ENUMERATION_MAX_SOURCES:
@@ -157,24 +220,25 @@ def enumeration_oracle(config: SystemConfig) -> MomentSet:
     ones = np.zeros(1, dtype=np.int8)  # popcount of every code below 2**bits, doubled up one bit at a time
     for _ in range(bits):
         ones = np.concatenate((ones, ones + 1))
+    leaders = sum(1 << (g * k) for g in range(m))
+    low_mask = (1 << bits) - 1
+    low, low_leaders, high_leaders = np.arange(1 << bits, dtype=np.int32), leaders & low_mask, leaders & ~low_mask
+    classes = ones.astype(np.intp) * (m + 1)  # a code's flat (w, f) class, before its flags and its block's w
+    census = np.zeros((n + 1, m + 1), dtype=np.int64)  # codes by set bits w and flagged groups f
+    for high in range(1 << (n - bits)):
+        top = high << bits
+        flagged = ones[_or_of_next_bits(low | top, k) & low_leaders]  # leaders below 2**bits may reach into top
+        block = np.bincount(classes + flagged, minlength=(bits + 1) * (m + 1)).reshape(bits + 1, m + 1)
+        w, f = high.bit_count(), (_or_of_next_bits(top, k) & high_leaders).bit_count()
+        census[w : w + bits + 1, f:] += block[:, : m + 1 - f]
     positives = np.arange(n + 1, dtype=np.float64)
     weights = np.power(p, positives) * np.power(1.0 - p, n - positives)  # by the number of set bits
-    leaders = sum(1 << (g * k) for g in range(m))
-    low, low_mask = np.arange(1 << bits, dtype=np.int32), (1 << bits) - 1
-    means, seconds, services = [], [], []
-    for high in range(1 << (n - bits)):  # the block's codes share their bits from `bits` up
-        codes = low | (high << bits)
-        pmf = weights[ones + ones[high]]
-        group_any = functools.reduce(np.bitwise_or, (codes >> shift for shift in range(k)))
-        leader_bits = group_any & leaders
-        flagged = (ones[leader_bits & low_mask] + ones[leader_bits >> bits]).astype(np.float64)
-        cycle = m + k * flagged
-        means.append(float(pmf @ cycle))
-        seconds.append(float(pmf @ (cycle * cycle)))
-        # a pairwise sum keeps the service within an ulp or so; a dot product here drifts by up to 1e-14
-        services.append(float(np.sum(pmf * (n + flagged * (k * (k + 1) // 2)))))
-    mean, second = math.fsum(means), math.fsum(seconds)
-    service = math.fsum(services) / n
+    mass = census * weights[:, None]
+    flags = np.arange(m + 1)
+    cycle = m + k * flags
+    mean = math.fsum((mass * cycle).flat)
+    second = math.fsum((mass * (cycle * cycle)).flat)
+    service = math.fsum((mass * (n + flags * (k * (k + 1) // 2))).flat) / n
     return MomentSet(
         mean_cycle=mean,
         second_moment_cycle=second,

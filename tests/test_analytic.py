@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from groupage.analytic import (
+    _binomial_window,
     average_age,
     closed_form_moments,
     convolution_oracle,
@@ -229,6 +230,60 @@ def test_convolution_oracle_holds_at_the_largest_admitted_group_count(p):
     _assert_moments_match(convolution_oracle(cfg), reference, rel=1e-12)
 
 
+@pytest.mark.parametrize("m,p", [(100_000, 1e-12), (2, 5e-5)])
+def test_convolution_window_holds_mass_where_sigma_is_below_one(m, p):
+    # sigma = sqrt(m*q*qbar) is below one here, so a window of +-40 sigma
+    # misses mass that moves the moments: at m = 10**5 (sigma about 3e-4) it
+    # holds z = m alone about the mode, while z = m - 1 carries 1e-7 of the
+    # mass; at m = 2 (sigma about 0.01) it holds z = 1 and 2 even when rounded
+    # outward from the mean, while z = 0 carries 2.5e-9
+    cfg = validate_config(m, p, 1)
+    _assert_moments_match(convolution_oracle(cfg), looped_convolution_moments(cfg), rel=1e-14)
+
+
+def _window(cfg):
+    return _binomial_window(cfg.m, cfg.k * math.log1p(-cfg.p), math.log(cfg.qbar))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.1, 1e-3])
+def test_convolution_window_lies_inside_the_counts_at_many_groups(p):
+    cfg = validate_config(100_000, p, 1)
+    z, pmf = _window(cfg)
+    assert 0 < z[0] and z[-1] <= cfg.m and z.size < cfg.m // 5
+    # at p = 1e-3 all m groups are clear with probability q^m = e^-100, within
+    # 800 of the mode's log-pmf, so only there the window reaches z = m
+    assert (z[-1] == cfg.m) == (p == 1e-3)
+    _assert_moments_match(convolution_oracle(cfg), looped_convolution_moments(cfg), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "m,k,p,mode",
+    [
+        (50, 2000, 0.5, "low"),  # q = 0.5**2000 underflows to 0 although p < 1
+        (1000, 1, 1e-15, "high"),  # q = 1 - 1e-15
+        (100_000, 1, 1e-13, "high"),
+    ],
+)
+def test_convolution_window_with_its_mode_at_an_end(m, k, p, mode):
+    cfg = validate_config(m * k, p, k)
+    z, _ = _window(cfg)
+    assert z[0] == 0 if mode == "low" else z[-1] == m
+    if mode == "low":
+        assert cfg.q == 0.0 and p < 1.0
+    _assert_moments_match(convolution_oracle(cfg), looped_convolution_moments(cfg), rel=1e-14)
+
+
+def test_convolution_oracle_memory_follows_the_window():
+    # the pmf over all m + 1 counts of a 1 321 122-group config traced 60.5 MiB
+    tracemalloc.start()
+    try:
+        convolution_oracle(validate_config(1_321_122, 0.5, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 # n up to 1e8 with k any of its divisors, and p log-uniform down to 1e-15 as
 # well as anywhere in [1e-15, 1] and at both ends
 @st.composite
@@ -287,3 +342,29 @@ def test_enumeration_matches_mpmath_past_one_block(n, k, p):
     fields = (moments.mean_cycle, moments.second_moment_cycle, moments.mean_service, moments.average_age)
     for value, exact in zip(fields, mpmath_moments(n, p, k)):
         assert abs(value - exact) <= 1e-13 * exact, (n, k, p, fields)
+
+
+@pytest.mark.parametrize(
+    "n,k,p",
+    [
+        (20, 20, 0.05),
+        (20, 1, 0.3),
+        (20, 4, 1e-3),
+        (20, 2, 0.9),
+        (18, 1, 0.5),
+        (18, 6, 0.05),
+        (18, 9, 1e-6),
+        (20, 1, 0.01),  # float dots a block were 5.2e-14 off mpmath here
+        (20, 5, 0.2),  # group 3 holds bits 15..19, across the block bit 16
+        (16, 4, 0.3),
+        (12, 3, 0.7),
+        (4, 2, 0.5),
+    ],
+)
+def test_enumeration_census_matches_mpmath_to_1e_14(n, k, p):
+    # the census counts codes exactly by (set bits, flagged groups), so its
+    # only roundings are the class weights and one math.fsum per moment
+    moments = enumeration_oracle(validate_config(n, p, k))
+    fields = (moments.mean_cycle, moments.second_moment_cycle, moments.mean_service, moments.average_age)
+    for value, exact in zip(fields, mpmath_moments(n, p, k)):
+        assert abs(value - exact) <= 1e-14 * exact, (n, k, p, fields)
