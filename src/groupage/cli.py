@@ -36,7 +36,7 @@ SIMULATION_ALPHA = math.erfc(3.0 / math.sqrt(2.0))
 # Largest working set of age-vs-n's rows, at _AGE_VS_N_ROW_BYTES each, in
 # bytes; over it, age-vs-n exits 1 up front. simulate and validate admit what
 # sim._check_int64_totals admits, at most m = 1 321 122 groups and n < 2^21
-# sources, and their largest such runs peak well under it: traced, 168 MiB for
+# sources, and their largest such runs peak well under it: traced, 163 MiB for
 # validate --n 1321122 --p 0.5 --k 1 --cycles 50 --seeds 0 (the simulator's;
 # its convolution oracle's pmf window traces 2.6 MiB), and 200 MiB for the
 # slot-drawn run at --p 7e-9 --cycles 100, with --seeds 0 or --seeds 0,2,3,25.

@@ -30,8 +30,10 @@ N is.
 
 A group's interval spans the m group times before the slot that closes it,
 so Y = m + k*C, with C <= m the flagged slots among those m. The fold takes
-every C from one exclusive flat count of a block's flags, m slots apart,
-and sums C, C^2 and C*F in int32 while no such sum can reach 2^31 (m <= 1290
+every C of a large block at m <= 127 as an int8 window sum of width m over
+the block's flat flags, built from sums over doubling spans, and every C of
+any other block from one exclusive flat count of its flags, m slots apart.
+It sums C, C^2 and C*F in int32 while no such sum can reach 2^31 (m <= 1290
 at the chunk size) and in int64 otherwise; the sums of Y follow by exact
 int64 algebra. An interval between two all-clear cycles has C = 0 and F = 0
 in every group, so the fold only counts it, and its work follows the
@@ -54,7 +56,7 @@ uniforms.
 
 A run is admitted by _check_int64_totals alone, which refuses every m above
 1 321 122 and every n >= 2^21. At the largest admitted shapes, under
-tracemalloc, a two-cycle run at p = 0.5 peaks at 137 MiB (m = 1 321 122,
+tracemalloc, a two-cycle run at p = 0.5 peaks at 133 MiB (m = 1 321 122,
 k = 1) and 38 MiB (m = 1, k = 1 664 509), and a 100-cycle slot-drawn run at
 m = 1 321 122 at 171 MiB whether one or four of its cycles are flagged.
 """
@@ -78,12 +80,22 @@ from .analytic import MomentSet
 # max(1, CHUNK_DRAWS // m) cycles. Larger chunks measured no faster.
 CHUNK_DRAWS = 2**18
 # _fold gathers a chunk's busy rows when at most this share of its rows can be busy, and
-# otherwise takes the whole chunk. Measured on 2 vCPUs (numpy 2.4), the two cost the same
-# at a bound of about 0.5 to 0.6 of the rows at m = 1 to 4, 0.75 at m = 30 and 1.2 to 1.3
-# at m = 200 and 10^4. Per op the choice is within noise: 0.5 in place of 0.35 moved the
-# simulator time of the benchmark's validate ops (workload seed 1) from 0.136 to 0.133 s,
-# median of 10 alternating pairs, 0.5 faster in 5.
+# otherwise takes the whole chunk. Measured on 2 vCPUs (numpy 2.4), the two cost the same at
+# a bound of about 0.6 to 0.7 of the rows at m = 2, 0.7 at m = 30, 0.75 at m = 50 and 1.2 to
+# 1.3 at m = 200, where the blocks of either side that reach _WINDOW_SLOTS take window sums
+# (0.7, 0.8 to 0.85, 0.95 to 1.0 and 1.2 to 1.3 with the flat count alone). Per op the choice
+# is within noise: the simulator time of the benchmark's validate ops (workload seed 1) was
+# 0.131 s at 0.35, 0.141 s at 0.5 and 0.135 s at 0.65, medians of 10 alternating rounds.
 _GATHER_SHARE = 0.35
+# _fold_block counts a block's intervals by int8 window sums when m < _WINDOW_GROUPS, so that
+# no window, at most m flags, wraps, and the block holds at least _WINDOW_SLOTS slots, and by
+# one flat count otherwise. Measured per block on 2 vCPUs (numpy 2.4), the two cost the same
+# at about 2^11 slots at m = 1 and 2 and 2^12 to 2^13 at m = 30 to 127, where the window
+# sums' dozen or so more numpy calls, about 10 us, are paid back; at 2^14 slots the window
+# sums are 8 to 40% faster, and on a whole chunk, 2^18 slots, 0.79 against 1.47 ms at m = 30
+# and 0.68 against 1.28 ms at m = 127.
+_WINDOW_GROUPS = 128
+_WINDOW_SLOTS = 2**14
 # A run expecting fewer flagged group-cycles than this, N*m*qbar, draws only its flagged slots,
 # by _flagged_slots. At about 1.5 us a flag, the slot draw measured faster than the uniform draw
 # up to qbar of about 0.003 (m = 1 to 200, 2 vCPUs), but a wider gate would change the stream of
@@ -184,13 +196,17 @@ def _add_exact_sums(totals: list[int], deviations: np.ndarray) -> None:
     are split into as many limbs of (62 - bit length of rows) // 2 bits as
     max v needs (u <= v needs no more), so that each limb sum and limb dot
     over the rows is below 2^62; these are added with their shifts. Values
-    that fit in one limb take seven dots, and an all-zero block none.
+    that fit in one limb are that limb and take seven dots, and an all-zero
+    block none.
     """
     rows = deviations.shape[1]
     width = (62 - rows.bit_length()) // 2
     mask = (1 << width) - 1
     top = int(deviations[1].max())
-    limbs = [(shift, (deviations >> shift) & mask) for shift in range(0, top.bit_length(), width)]
+    if top >> width:
+        limbs = [(shift, (deviations >> shift) & mask) for shift in range(0, top.bit_length(), width)]
+    else:
+        limbs = [(0, deviations)] if top else []
     for shift, (u, v) in limbs:
         totals[0] += int(u.sum()) << shift
         totals[1] += int(v.sum()) << shift
@@ -200,18 +216,50 @@ def _add_exact_sums(totals: list[int], deviations: np.ndarray) -> None:
                 totals[i] += int(value) << (shift + other)
 
 
+def _window_sums(flags: np.ndarray, m: int) -> np.ndarray:
+    """The sums of every m consecutive entries of a flat int8 array of 0s and 1s, in int8 (m <= 127).
+
+    Doubling spans: floor(log2 m) in-place adds turn the array into its sums
+    over spans of 1, 2, 4, ... entries, and the spans of m's set bits, laid
+    end to end, add up to each window, popcount(m) - 1 adds. flags is
+    overwritten, and the result may be a view of it.
+    """
+    size, count = len(flags), len(flags) - m + 1
+    spans, sums, width = flags, None, 1
+    while True:
+        taken = False
+        if m & width:  # the span of this bit starts after those of the lower set bits
+            piece = spans[m & (width - 1) :][:count]
+            if sums is None:
+                sums, taken = piece, True
+            else:
+                sums += piece
+        if 2 * width > m:
+            return sums
+        valid = size - 2 * width + 1
+        if taken:  # sums is a view of spans: double into a new array
+            spans = np.add(spans[:valid], spans[width : width + valid])
+        else:
+            np.add(spans[:valid], spans[width : width + valid], out=spans[:valid])
+        width *= 2
+
+
 def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """One block of cycles' group flags: (counts of its cycles by flag total, row deviations), its C sums added to sums.
 
     Row r's interval in group g spans the m group times before slot (r, g),
-    so Y = m + k*C, with C the flags among those m slots: the difference,
-    m slots apart, of one exclusive flat count of the block's flags, which
-    starts at -carry, per group the flags at or after it in the previous
-    block's last row. carry is then overwritten with this block's. Over its
-    rows from first_row (0 or 1) on, it adds the sums of C, C^2, C*F and F
-    per group into the (4, m) int64 sums, sum C telescoping, and returns per
-    row the deviations u and v of the pooled sums over all n sources of Y
-    and of the double area Y^2 + 2*Y*S, which are k*sum Y and
+    so Y = m + k*C, with C the flags among those m slots. carry holds, per
+    group, the flags at or after it in the previous block's last row, and is
+    then overwritten with this block's. A block of at least _WINDOW_SLOTS
+    slots at m < _WINDOW_GROUPS takes every C as an int8 window sum of width
+    m, by _window_sums, over the previous block's last row (carry's
+    differences) and this block's flat flags, and each row's flag total as
+    the window that covers it; any other block takes C as the difference, m
+    slots apart, of one exclusive flat count of its flags that starts at
+    -carry. Over its rows from first_row (0 or 1) on, it adds the sums of C,
+    C^2, C*F and F per group into the (4, m) int64 sums, sum C telescoping,
+    and returns per row the deviations u and v of the pooled sums over all n
+    sources of Y and of the double area Y^2 + 2*Y*S, which are k*sum Y and
     k*sum (Y^2 + 2Y + (k+1)*Y*F), from a quiet row's k*m^2 and
     k*m^2*(m + 2). C <= m, so each sum of C, C^2 or C*F is at most m^3 or
     rows*m^2: the counts and those sums run in int32 while both are below
@@ -220,18 +268,35 @@ def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.n
     """
     rows, m = block.shape
     narrow = np.int32 if max(m**3, rows * m * m) < 2**31 else np.int64
-    counts = np.empty((rows + 1) * m + 1, dtype=narrow)
-    np.negative(carry, out=counts[:m])
-    counts[m] = 0
-    np.cumsum(block, out=counts[m + 1 :])
-    before = counts[:-1].reshape(rows + 1, m)  # before[r + 1, g]: the block's flags before slot (r, g)
-    c = before[1:] - before[:-1]
-    row_flags = np.subtract(counts[2 * m :: m], counts[m:-1:m], dtype=np.int64)
-    np.subtract(counts[-1], before[-1], out=carry, casting="same_kind")
-    length_counts = np.bincount(row_flags)
     group = np.empty((4, m), dtype=narrow)  # over the rows from first_row: sum C, sum C^2, sum C*F, sum F
-    np.subtract(before[-1], before[first_row], out=group[0])
-    del counts, before  # before the reductions' temporaries
+    if m < _WINDOW_GROUPS and rows * m >= _WINDOW_SLOTS:
+        flags = np.empty((rows + 1) * m, dtype=np.int8)
+        np.subtract(carry[:-1], carry[1:], out=flags[: m - 1], casting="unsafe")  # the previous block's last row
+        flags[m - 1] = carry[-1]
+        flags[m:] = block.reshape(-1)
+        windows = _window_sums(flags, m)  # windows[i]: the flags among flags[i : i + m]
+        c = windows[:-1].reshape(rows, m).astype(narrow)
+        row_flags = windows[m::m].astype(np.int64)
+        # sum C: the flags at or after g in row first_row - 1 (row -1 the previous block's
+        # last), in every row from first_row on, less those at or after g in the last row
+        first = carry if first_row == 0 else np.cumsum(block[0, ::-1])[::-1]
+        last = np.cumsum(block[-1, ::-1])[::-1]
+        np.subtract(first, last, out=group[0])
+        group[0] += row_flags[first_row:].sum()
+        carry[:] = last
+        del flags, windows  # before the reductions' temporaries
+    else:
+        counts = np.empty((rows + 1) * m + 1, dtype=narrow)
+        np.negative(carry, out=counts[:m])
+        counts[m] = 0
+        np.cumsum(block, out=counts[m + 1 :])
+        before = counts[:-1].reshape(rows + 1, m)  # before[r + 1, g]: the block's flags before slot (r, g)
+        c = before[1:] - before[:-1]
+        row_flags = np.subtract(counts[2 * m :: m], counts[m:-1:m], dtype=np.int64)
+        np.subtract(counts[-1], before[-1], out=carry, casting="same_kind")
+        np.subtract(before[-1], before[first_row], out=group[0])
+        del counts, before  # before the reductions' temporaries
+    length_counts = np.bincount(row_flags)
     c, f, row_flags = c[first_row:], block[first_row:].astype(narrow), row_flags[first_row:]
     np.einsum("ij,ij->j", c, c, out=group[1])
     np.einsum("ij,ij->j", c, f, out=group[2])

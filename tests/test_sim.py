@@ -648,11 +648,24 @@ def check_fold_block_against_instants(block, first_row, prior_row, k):
     assert np.array_equal(pooled - np.array([[k * m * m], [k * m * m * (m + 2)]]), deviations)
 
 
+def window_rows(m: int) -> int:
+    """The fewest rows of m groups that _fold_block counts by window sums when m admits them."""
+    return -(-sim._WINDOW_SLOTS // m)
+
+
 @st.composite
 def fold_blocks(draw):
-    """(block, first row, prior row, k): random flags at a random density, folded from row 0 or row 1."""
-    m = draw(st.sampled_from([1, 2, 3, 7, 30, INT32_M, INT32_M + 1]))
-    rows = draw(st.integers(min_value=1, max_value=3 if m >= INT32_M else 40))
+    """(block, first row, prior row, k): random flags at a random density, folded from row 0 or row 1.
+
+    Below INT32_M the rows are few, or within a few of window_rows(m), so
+    that blocks of m < 128 groups fall on both sides of the slot bound.
+    """
+    m = draw(st.sampled_from([1, 2, 3, 7, 30, 127, 128, INT32_M, INT32_M + 1]))
+    if m >= INT32_M:
+        rows = draw(st.integers(min_value=1, max_value=3))
+    else:
+        bound = window_rows(m)
+        rows = draw(st.integers(min_value=1, max_value=40) | st.integers(min_value=bound - 3, max_value=bound + 3))
     k = draw(st.sampled_from([1, 2, 5, 1000]))
     density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -677,6 +690,35 @@ def test_fold_block_is_exact_at_the_int32_bound(rows):
     block = np.ones((rows, INT32_M), dtype=bool)
     for first_row in (0, 1):
         check_fold_block_against_instants(block, first_row, np.ones(INT32_M, dtype=bool), 1)
+
+
+@pytest.mark.parametrize("m", [127, 128])
+def test_fold_block_is_exact_at_the_int8_bound(m):
+    # every slot flagged: each C and each row's flag total is m, which fits the int8
+    # window sums at m = 127 and would wrap to -128 at m = 128, so only m < 128 may
+    # take them; these blocks are past the slot bound, so m = 127 does
+    rows = window_rows(127) + 1
+    block = np.ones((rows, m), dtype=bool)
+    for first_row in (0, 1):
+        for k in (1, 1000):
+            with mock.patch.object(sim, "_window_sums", wraps=sim._window_sums) as window_sums:
+                check_fold_block_against_instants(block, first_row, np.ones(m, dtype=bool), k)
+            assert window_sums.called == (m == 127)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=127),
+    st.integers(min_value=0, max_value=300),
+    st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_window_sums_equal_sliding_window_sums(m, extra, density, seed):
+    flags = (np.random.default_rng(seed).random(m + extra) < density).astype(np.int8)
+    expected = np.lib.stride_tricks.sliding_window_view(flags.astype(np.int64), m).sum(axis=1)
+    windows = sim._window_sums(flags.copy(), m)
+    assert windows.dtype == np.int8
+    assert np.array_equal(windows, expected)
 
 
 @pytest.mark.parametrize("share", [0.0, math.inf])
