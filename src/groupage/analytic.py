@@ -170,15 +170,15 @@ def convolution_oracle(config: SystemConfig) -> MomentSet:
     of z that holds the pmf's mass (_binomial_window), from log q =
     k*log1p(-p) and log(qbar), so the work follows the pmf's spread, not m.
     The sums are pairwise numpy sums, not BLAS dots. Source j of a group takes
-    1 + j slots when its group is flagged, so E[S] averages 1 + j*qbar over
-    j = 1..k.
+    1 + j slots when its group is flagged, so E[S] = 1 + E[F]*(k+1)/(2m), with
+    E[F] the pmf's mean of the m - z flagged groups, in float64.
     """
     m, k, qbar = config.m, config.k, config.qbar
     z, pmf = _binomial_window(m, _log_all_clear(config.p, k), math.log(qbar) if qbar > 0.0 else -math.inf)
     cycle = (m * (k + 1) - k * z).astype(np.float64)
     mean = float((pmf * cycle).sum())
     second = float((pmf * (cycle * cycle)).sum())
-    service = float(np.mean(1.0 + np.arange(1, k + 1) * qbar))
+    service = 1.0 + float((pmf * (m - z)).sum()) * (k + 1) / (2 * m)
     return MomentSet(
         mean_cycle=mean,
         second_moment_cycle=second,

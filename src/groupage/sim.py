@@ -24,9 +24,8 @@ chunk and folds them, in cycle order, into exact integer per-group sums,
 nine exact integer sums from which the standard error follows, and a count
 of cycles by their number of flagged groups, from which the sample cycle
 moments follow exactly. No run keeps its flags or any per-cycle series, so
-a run's memory is one chunk's (cycles, m) group arrays, its (m, k)
-per-source estimates and its m + 1 counts of cycles by flag total, whatever
-N is.
+a run's memory is one chunk's (cycles, m) group arrays, its per-group sums
+and its m + 1 counts of cycles by flag total, whatever N and k are.
 
 A group's interval spans the m group times before the slot that closes it,
 so Y = m + k*C, with C <= m the flagged slots among those m. The fold takes
@@ -56,9 +55,9 @@ uniforms.
 
 A run is admitted by _check_int64_totals alone, which refuses every m above
 1 321 122 and every n >= 2^21. At the largest admitted shapes, under
-tracemalloc, a two-cycle run at p = 0.5 peaks at 133 MiB (m = 1 321 122,
-k = 1) and 38 MiB (m = 1, k = 1 664 509), and a 100-cycle slot-drawn run at
-m = 1 321 122 at 171 MiB whether one or four of its cycles are flagged.
+tracemalloc, a two-cycle run at p = 0.5 peaks at 133 MiB at m = 1 321 122,
+k = 1, and under 1 MiB at m = 1, k = 1 664 509, and a 100-cycle slot-drawn run
+at m = 1 321 122 at 171 MiB whether one or four of its cycles are flagged.
 """
 
 from __future__ import annotations
@@ -70,11 +69,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .analytic import MomentSet
 from .model import SystemConfig
 
 __all__ = ["AgeSummary", "empirical_moments", "simulate_age"]
-
-from .analytic import MomentSet
 
 # Uniform draws per chunk (2 MB of float64), one a group and cycle; a chunk holds
 # max(1, CHUNK_DRAWS // m) cycles. Larger chunks measured no faster.
@@ -105,16 +103,19 @@ SLOT_SAMPLER_FLAGS = 1.0
 
 @dataclass(frozen=True)
 class AgeSummary:
-    """Per-source and overall time-average age estimates from one simulation run.
+    """Per-group sums and the overall time-average age estimate from one simulation run.
 
-    flag_counts[F] is the number of the run's cycles, the first included, in
-    which F of the m groups were flagged; such a cycle lasts m + k*F slots.
+    interval_sums[:, g] holds group g's exact sums of Y, Y^2 and Y*F over the
+    N-1 intervals, which its k sources share: source j's age is (sum Y^2/2 +
+    sum Y + j*sum Y*F) / sum Y, and overall_age averages these over all n
+    sources. flag_counts[F] counts the cycles, the first included, in which F
+    of the m groups were flagged; such a cycle lasts m + k*F slots.
     """
 
-    per_source_age: np.ndarray  # (m, k)
     overall_age: float
     standard_error: float
     flag_counts: np.ndarray  # (m + 1,) int64
+    interval_sums: np.ndarray  # (3, m) int64
 
 
 class _FlaggedSlots(NamedTuple):
@@ -429,15 +430,14 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots
 def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots]) -> AgeSummary:
     """Renewal-reward age estimate from a run's group flags, fed in cycle order."""
     sums, flag_counts, *standard_error_sums = _fold(config, flag_chunks)
-    k = config.k
-    interval_sum, interval_sq_sum, interval_flag_sum = (total[:, None] for total in sums)
-    interval_service_sum = interval_sum + np.arange(1, k + 1, dtype=np.int64) * interval_flag_sum
-    per_source = (0.5 * interval_sq_sum + interval_service_sum) / interval_sum
+    interval_sum, interval_sq_sum, interval_flag_sum = sums
+    # each group's mean over its sources j = 1..k of (sum Y^2/2 + sum Y + j*sum Y*F) / sum Y
+    group_age = (0.5 * interval_sq_sum + interval_sum + 0.5 * (config.k + 1) * interval_flag_sum) / interval_sum
     return AgeSummary(
-        per_source_age=per_source,
-        overall_age=float(per_source.mean()),
+        overall_age=float(group_age.mean()),
         standard_error=_pooled_standard_error(config, *standard_error_sums),
         flag_counts=flag_counts,
+        interval_sums=np.stack(sums),
     )
 
 

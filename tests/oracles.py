@@ -15,9 +15,11 @@ chi-square tail judge the simulator's own flags, whether drawn one uniform
 a group or as the flagged slots alone, the block fold from generation
 instants is the simulator's block fold as it was before it counted flags, the
 standard errors of a counted series and of the pooled age ratio are
-computed in exact rationals, and the per-source sampler, timeline views,
+computed in exact rationals, the per-source sampler, timeline views,
 estimator and cross-term correlation redo the simulator's work source by
-source on (N, m, k) arrays, with no use of the per-group shortcuts.
+source on (N, m, k) arrays, with no use of the per-group shortcuts, and a
+summary's per-source ages and their exact mean follow from its per-group
+sums.
 """
 
 from __future__ import annotations
@@ -304,25 +306,44 @@ def generation_instants(service_times: np.ndarray) -> np.ndarray:
     return cycle_starts[:, None, None] + (delivery_offsets(service_times) - service_times)
 
 
-def per_source_age_estimate(service_times: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Per-source renewal-reward age estimate over full (N, m, k) arrays: (per-source ages, overall age, SE).
+def per_source_age_estimate(service_times: np.ndarray) -> tuple[np.ndarray, Fraction, float]:
+    """Per-source renewal-reward age estimate over full (N, m, k) arrays: (per-group interval sums, exact age, SE).
 
     Each source's generation instants are rebuilt on the absolute time axis;
     the N-1 complete intervals Y between them, each closed by an update with
-    service time S, contribute area Y^2/2 + Y*S. The standard error is the
-    delta method on the per-interval sums pooled over all sources, with the
-    lag-1 autocovariance of consecutive intervals, in exact rationals. All
-    sums are exact int64.
+    service time S, contribute area Y^2/2 + Y*S, and a source's age is its
+    summed area over its summed Y. A group's k sources must share their sums
+    of Y, Y^2 and Y*F, with F = 1 when the closing update's group is flagged
+    (S > 1); these come back as a (3, m) array, and the overall age as the
+    exact mean of the m*k per-source ages. The standard error is the delta
+    method on the per-interval sums pooled over all sources, with the lag-1
+    autocovariance of consecutive intervals, in exact rationals. All sums
+    are exact int64.
     """
     _, m, k = service_times.shape
     intervals = np.diff(generation_instants(service_times), axis=0)  # (N-1, m, k)
     interval_sq = intervals * intervals
     interval_service = intervals * service_times[1:]
-    per_source = (0.5 * interval_sq.sum(axis=0) + interval_service.sum(axis=0)) / intervals.sum(axis=0)
+    sums = np.stack((intervals.sum(axis=0), interval_sq.sum(axis=0), (intervals * (service_times[1:] > 1)).sum(axis=0)))
+    assert (sums == sums[:, :, :1]).all(), "a group's sources differ in their interval sums"
+    double_areas = sums[1] + 2 * interval_service.sum(axis=0)
+    age = sum(Fraction(int(a), 2 * int(y)) for a, y in zip(double_areas.flat, sums[0].flat)) / (m * k)
     pooled_intervals = intervals.sum(axis=(1, 2))
     pooled_double_areas = (interval_sq + 2 * interval_service).sum(axis=(1, 2))
     se = exact_pooled_standard_error(pooled_intervals, pooled_double_areas, m * k)
-    return per_source, float(per_source.mean()), se
+    return sums[:, :, 0], age, se
+
+
+def per_source_ages(interval_sums: np.ndarray, k: int) -> np.ndarray:
+    """(m, k) per-source age estimates from an AgeSummary's (3, m) interval sums: (sum Y^2/2 + sum Y + j*sum Y*F) / sum Y."""
+    interval_sum, interval_sq_sum, interval_flag_sum = (total[:, None] for total in interval_sums)
+    return (0.5 * interval_sq_sum + (interval_sum + np.arange(1, k + 1) * interval_flag_sum)) / interval_sum
+
+
+def exact_overall_age(interval_sums: np.ndarray, k: int) -> Fraction:
+    """The exact mean over all m*k sources of their age estimates, from an AgeSummary's (3, m) interval sums."""
+    total = sum(Fraction(int(sq) + 2 * int(y) + (k + 1) * int(yf), 2 * int(y)) for y, sq, yf in interval_sums.T)
+    return total / interval_sums.shape[1]
 
 
 def instants_fold_block(block: np.ndarray, in_block, carry: np.ndarray, k: int) -> tuple[np.ndarray, ...]:

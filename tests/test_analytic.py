@@ -284,6 +284,22 @@ def test_convolution_oracle_memory_follows_the_window():
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("n,k", [(1, 1), (720720, 12), (1_664_509, 1_664_509), (10**12, 10**12)])
+@pytest.mark.parametrize("p", [0.0, 1e-12, 0.5, 1.0])
+def test_convolution_mean_service_holds_at_any_group_size(n, k, p):
+    # E[S] comes from the window's mean flagged groups, so nothing is k long: a mean over
+    # 1 + j*qbar for j = 1..k traced 25.5 MiB at k = 1 664 509, and could not be held at 10**12
+    cfg = validate_config(n, p, k)
+    tracemalloc.start()
+    try:
+        service = convolution_oracle(cfg).mean_service
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(service - mean_service_time(cfg)) <= 1e-12 * mean_service_time(cfg)
+    assert peak < 2**20
+
+
 # n up to 1e8 with k any of its divisors, and p log-uniform down to 1e-15 as
 # well as anywhere in [1e-15, 1] and at both ends
 @st.composite

@@ -16,6 +16,7 @@ from groupage.sim import empirical_moments, simulate_age
 from oracles import (
     chi_square_tail,
     delivery_offsets,
+    exact_overall_age,
     flagged_group_count_pmf,
     group_outcome,
     group_times,
@@ -23,6 +24,7 @@ from oracles import (
     nearest_float_sqrt,
     oracle_flags,
     per_source_age_estimate,
+    per_source_ages,
     per_source_cross_term,
     per_trace_moments,
     reference_service_times,
@@ -33,6 +35,10 @@ from oracles import (
 # a fixed seed, so each passes or fails for good; at this level a correct
 # draw fails one of them by chance with probability 1e-4.
 FLAG_LAW_ALPHA = 1e-4
+
+# overall_age, a float mean over the groups, must lie this close to the exact mean of the
+# per-source ages; the worst error measured over random runs was about 20 times smaller.
+AGE_RTOL = Fraction(1, 10**14)
 
 
 @st.composite
@@ -57,6 +63,14 @@ def estimate_in_chunks(cfg, flags, chunk):
     """sim._estimate of an (N, m) flag trace fed in chunks of `chunk` cycles, or as one chunk for None."""
     chunk = chunk or len(flags)
     return sim._estimate(cfg, (flags[start : start + chunk] for start in range(0, len(flags), chunk)))
+
+
+def check_reference(summary, reference, *context):
+    """summary equals a per_source_age_estimate reference: its interval sums and SE exactly, its age within AGE_RTOL."""
+    sums, age, se = reference
+    assert np.array_equal(summary.interval_sums, sums), context
+    assert abs(Fraction(summary.overall_age) - age) <= AGE_RTOL * age, context
+    assert summary.standard_error == se, context
 
 
 def simulated_flags(cfg, num_cycles, seed):
@@ -108,7 +122,7 @@ def test_simulate_age_is_deterministic_per_seed():
     a = simulate_age(cfg, 500, seed=11)
     b = simulate_age(cfg, 500, seed=11)
     assert np.array_equal(a.flag_counts, b.flag_counts)
-    assert np.array_equal(a.per_source_age, b.per_source_age)
+    assert np.array_equal(a.interval_sums, b.interval_sums)
     assert a.overall_age == b.overall_age
     assert a.standard_error == b.standard_error
     c = simulate_age(cfg, 500, seed=12)
@@ -165,7 +179,8 @@ def test_flag_counts_and_moments_match_oracle_trace(run):
     cfg, num_cycles, seed = run
     flags = oracle_flags(cfg, num_cycles, seed)
     summary = estimate_in_chunks(cfg, flags, 3)
-    assert summary.flag_counts.dtype == np.int64
+    assert summary.flag_counts.dtype == summary.interval_sums.dtype == np.int64
+    assert summary.interval_sums.shape == (3, cfg.m)
     assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
     moments = empirical_moments(cfg, summary.flag_counts)
     fields = (moments.mean_cycle, moments.second_moment_cycle, moments.mean_service, moments.average_age)
@@ -181,7 +196,7 @@ def test_all_clear_run_structure_and_exact_age():
         assert (offsets[:, i, :] == i + 1).all()
     assert summary.overall_age == cfg.m / 2 + 1
     assert summary.standard_error == 0.0
-    assert (summary.per_source_age == cfg.m / 2 + 1).all()
+    assert (per_source_ages(summary.interval_sums, cfg.k) == cfg.m / 2 + 1).all()
 
 
 def test_all_positive_run_structure_and_exact_age():
@@ -194,7 +209,7 @@ def test_all_positive_run_structure_and_exact_age():
         for j0 in range(k):
             assert (offsets[:, i, j0] == i * (k + 1) + j0 + 2).all()
     for j0 in range(k):
-        assert (summary.per_source_age[:, j0] == m * (k + 1) / 2 + (j0 + 2)).all()
+        assert (per_source_ages(summary.interval_sums, k)[:, j0] == m * (k + 1) / 2 + (j0 + 2)).all()
     assert summary.overall_age == m * (k + 1) / 2 + 1 + (k + 1) / 2
     assert summary.standard_error == 0.0
 
@@ -228,7 +243,8 @@ def test_age_estimate_close_to_closed_form():
     assert abs(summary.overall_age - target) / target <= 0.01
     assert abs(summary.overall_age - target) <= 3 * summary.standard_error
     assert summary.overall_age >= 1.0
-    assert summary.overall_age == pytest.approx(summary.per_source_age.mean(), rel=1e-12)
+    exact = exact_overall_age(summary.interval_sums, cfg.k)
+    assert abs(Fraction(summary.overall_age) - exact) <= AGE_RTOL * exact
 
 
 def test_age_requires_two_cycles():
@@ -279,12 +295,10 @@ def test_renewal_consistency(run):
 def test_streaming_mode_matches_full_trace_exactly(chunk):
     for p in (0.3, 0.02):  # at 0.02, 39% of the intervals lie between two all-clear cycles
         cfg = validate_config(24, p, 4)
-        per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, 400, seed=21))
+        reference = per_source_age_estimate(reference_service_times(cfg, 400, seed=21))
         flags = oracle_flags(cfg, 400, seed=21)
         streamed = estimate_in_chunks(cfg, flags, chunk)
-        assert np.array_equal(per_source, streamed.per_source_age)
-        assert overall == streamed.overall_age
-        assert se == streamed.standard_error
+        check_reference(streamed, reference)
         assert np.array_equal(streamed.flag_counts, flag_counts_of(cfg, flags))
 
 
@@ -306,19 +320,17 @@ def hand_built_flag_runs(m, num_cycles):
 
 
 def check_hand_built_runs(n, k):
-    """Each hand-built run, fed as 1-, 2- and 3-cycle chunks and as one chunk, equals the per-source reference exactly."""
+    """Each hand-built run, fed as 1-, 2- and 3-cycle chunks and as one chunk, equals the per-source reference."""
     cfg = validate_config(n, 0.5, k)
     num_cycles = 7
     j = np.arange(1, k + 1)
     for name, flags in hand_built_flag_runs(cfg.m, num_cycles):
-        per_source, overall, se = per_source_age_estimate(1 + j * flags[:, :, None].astype(np.int64))
+        reference = per_source_age_estimate(1 + j * flags[:, :, None].astype(np.int64))
         for chunk in (1, 2, 3, num_cycles):
             chunks = [flags[start : start + chunk] for start in range(0, num_cycles, chunk)]
             with mock.patch.object(sim, "_flag_chunks", lambda *args: iter(chunks)):
                 summary = simulate_age(cfg, num_cycles, seed=0)
-            assert np.array_equal(summary.per_source_age, per_source), (name, chunk)
-            assert summary.overall_age == overall, (name, chunk)
-            assert summary.standard_error == se, (name, chunk)
+            check_reference(summary, reference, name, chunk)
             assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags)), (name, chunk)
 
 
@@ -352,13 +364,11 @@ def reference_runs(draw):
 @given(reference_runs())
 def test_estimates_equal_per_source_reference_exactly(run):
     cfg, num_cycles, seed = run
-    per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed))
+    reference = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed))
     flags = oracle_flags(cfg, num_cycles, seed)
     for chunk in (1, 3, 97, None):
         summary = estimate_in_chunks(cfg, flags, chunk)
-        assert np.array_equal(summary.per_source_age, per_source)
-        assert summary.overall_age == overall
-        assert summary.standard_error == se
+        check_reference(summary, reference, chunk)
         assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
 
 
@@ -381,11 +391,9 @@ def test_k1_runs_equal_the_per_source_reference_bit_for_bit(n, p, num_cycles, se
     cfg = validate_config(n, p, 1)
     assert cfg.qbar == p
     assume(draws_uniforms(cfg, num_cycles))
-    per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed))
+    reference = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed))
     summary = simulate_age_in_chunks(cfg, num_cycles, seed, chunk)
-    assert np.array_equal(summary.per_source_age, per_source)
-    assert summary.overall_age == overall
-    assert summary.standard_error == se
+    check_reference(summary, reference)
     assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, oracle_flags(cfg, num_cycles, seed)))
 
 
@@ -395,7 +403,7 @@ def test_estimates_and_flags_do_not_depend_on_the_chunk_size(run, chunk):
     cfg, num_cycles, seed = run
     whole = simulate_age(cfg, num_cycles, seed)
     chunked = simulate_age_in_chunks(cfg, num_cycles, seed, chunk)
-    assert np.array_equal(chunked.per_source_age, whole.per_source_age)
+    assert np.array_equal(chunked.interval_sums, whole.interval_sums)
     assert chunked.overall_age == whole.overall_age
     assert chunked.standard_error == whole.standard_error
     assert np.array_equal(chunked.flag_counts, whole.flag_counts)
@@ -562,13 +570,11 @@ def sparse_flag_runs(draw):
 def test_fold_fed_positions_equals_whole_chunk_fold_and_reference(run):
     cfg, flags, chunk = run
     j = np.arange(1, cfg.k + 1)
-    per_source, overall, se = per_source_age_estimate(1 + j * flags[:, :, None].astype(np.int64))
+    reference = per_source_age_estimate(1 + j * flags[:, :, None].astype(np.int64))
     with mock.patch.object(sim, "_GATHER_SHARE", 0.0):
         whole = estimate_in_chunks(cfg, flags, None)
     for summary in (whole, estimate_from_positions(cfg, flags, chunk), estimate_from_positions(cfg, flags, len(flags))):
-        assert np.array_equal(summary.per_source_age, per_source)
-        assert summary.overall_age == overall
-        assert summary.standard_error == se
+        check_reference(summary, reference)
         assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
 
 
@@ -730,17 +736,16 @@ def test_runs_at_the_int32_group_bound_are_exact(m, share):
     num_cycles = sim._cycles_per_chunk(validate_config(m, 0.5, 1)) + 7
     with mock.patch.object(sim, "_GATHER_SHARE", share):
         everything = simulate_age(validate_config(m, 1.0, 1), num_cycles, seed=0)
-        assert (everything.per_source_age == m + 2).all()
+        assert (per_source_ages(everything.interval_sums, 1) == m + 2).all()
         assert everything.overall_age == m + 2
         assert everything.standard_error == 0.0
         assert everything.flag_counts[m] == num_cycles
         cfg = validate_config(m, 0.5, 1)
         assert draws_uniforms(cfg, num_cycles)
         summary = simulate_age(cfg, num_cycles, seed=9)
-    per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed=9))
-    assert np.array_equal(summary.per_source_age, per_source)
-    assert summary.overall_age == overall
-    assert summary.standard_error == se > 0.0
+    reference = per_source_age_estimate(reference_service_times(cfg, num_cycles, seed=9))
+    check_reference(summary, reference)
+    assert summary.standard_error > 0.0
 
 
 def test_streaming_peak_memory_is_one_chunk():
@@ -762,6 +767,14 @@ def traced_peak(function, *args) -> int:
     finally:
         tracemalloc.stop()
 
+
+def test_widest_group_run_keeps_nothing_k_long():
+    # m = 1 and k = 1 664 509, the largest group the int64 check admits: its (m, k)
+    # per-source estimates once traced 38.9 MiB of this run, its per-group sums take 24 bytes
+    cfg = validate_config(1_664_509, 0.5, 1_664_509)
+    summary = simulate_age(cfg, 2, 0)
+    assert summary.interval_sums.shape == (3, 1)
+    assert traced_peak(simulate_age, cfg, 2, 0) < 4 * 2**20
 
 def test_peak_memory_does_not_grow_with_the_cycle_count():
     # about one cycle in 10^5 is flagged at this p, so a run is mostly its
@@ -862,7 +875,7 @@ def test_all_flagged_run_past_one_int64_dot_has_exact_age_and_zero_error():
     summary = simulate_age(cfg, 2 * sim._cycles_per_chunk(cfg) + 5, seed=0)
     m, k = cfg.m, cfg.k
     assert summary.standard_error == 0.0
-    assert (summary.per_source_age[:, 0] == m * (k + 1) / 2 + 2).all()
+    assert (per_source_ages(summary.interval_sums, k)[:, 0] == m * (k + 1) / 2 + 2).all()
 
 
 @pytest.mark.parametrize("chunk", [1, 2, None])
@@ -870,40 +883,70 @@ def test_run_past_one_int64_dot_equals_per_source_reference(chunk):
     cfg = validate_config(2000, 0.5, 1)  # v up to about 1e10 on 6 rows
     assert _rows_past_one_int64_dot(cfg) > 2**63
     assert draws_uniforms(cfg, 7)
-    per_source, overall, se = per_source_age_estimate(reference_service_times(cfg, 7, seed=4))
+    reference = per_source_age_estimate(reference_service_times(cfg, 7, seed=4))
     summary = simulate_age_in_chunks(cfg, 7, 4, chunk)
-    assert np.array_equal(summary.per_source_age, per_source)
-    assert summary.overall_age == overall
-    assert summary.standard_error == se > 0.0
+    check_reference(summary, reference)
+    assert summary.standard_error > 0.0
 
 
-# One seeded run per fold path: (n, p, k, cycles, seed) and its standard_error.hex(), with the md5 of
-# the little-endian bytes of flag_counts and of per_source_age. The CSV digests round to 12
-# significant digits, so these pin the last bit; overall_age, a pairwise float mean, is left to them.
+# One seeded run per fold path: (n, p, k, cycles, seed) and its standard_error.hex(), the md5 of the
+# little-endian bytes of flag_counts and of interval_sums, and overall_age.hex(). The sums' digests
+# were taken from the fold of the same flags before the summary kept per-group sums, so they did not
+# move; the CSV digests round to 12 significant digits, so these pin the last bit.
 PINNED_RUNS = {
     "dense int32": (
         (120, 0.1, 4, 2000, 1),
-        ("0x1.f342c6b484d79p-4", "9ad1aed3ff171c7b86abb160d80da571", "92a59e7b7522ec7e7c16abbbefe97795"),
+        (
+            "0x1.f342c6b484d79p-4",
+            "9ad1aed3ff171c7b86abb160d80da571",
+            "c4b6ba1afcaa816771ff8fcbdf44ba18",
+            "0x1.3224399999363p+5",
+        ),
     ),
     "limbs": (
         (1200, 0.01, 24, 3000, 1),
-        ("0x1.640f8e501c81dp-1", "ff99c0a7625015a1a5951f45ee4f0aa3", "ba3c6319bfd084b58ac2acddfc585293"),
+        (
+            "0x1.640f8e501c81dp-1",
+            "ff99c0a7625015a1a5951f45ee4f0aa3",
+            "9536c608a315890e091572e82cc5c128",
+            "0x1.4a33db0a471eep+7",
+        ),
     ),
     "int64 fallback": (
         (2000, 0.5, 1, 300, 1),
-        ("0x1.586a2f6fc8fe5p-1", "ecacc7cc041e8f6ba37225781f9811e9", "52823da2ce8d47421e236f62f456eefd"),
+        (
+            "0x1.586a2f6fc8fe5p-1",
+            "ecacc7cc041e8f6ba37225781f9811e9",
+            "9efe62d2c643dc090d2d6eebc67f0553",
+            "0x1.777eb09dc76ddp+10",
+        ),
     ),
     "sparse gathered": (
         (120, 1e-4, 4, 20000, 1),
-        ("0x1.d1cc0ffca44bap-10", "49a9964829a3e3c8a1f33eb83203694c", "e5018548e293057a37f710ee48d51b5e"),
+        (
+            "0x1.d1cc0ffca44bap-10",
+            "49a9964829a3e3c8a1f33eb83203694c",
+            "91d30a86d763505196850d075682b622",
+            "0x1.006c57b00bc41p+4",
+        ),
     ),
     "slot-drawn": (
         (120, 3e-8, 4, 250000, 2),
-        ("0x1.11265a1dbd095p-16", "cd590e0328281301746ee0dd04693383", "4e4ac6489a9b5e2380fd22938f4359dc"),
+        (
+            "0x1.11265a1dbd095p-16",
+            "cd590e0328281301746ee0dd04693383",
+            "53b5328ccdbc27e59ea717dd83bff09e",
+            "0x1.00001d91e5e52p+4",
+        ),
     ),
     "multi-chunk": (
         (1, 0.3, 1, 3 * sim.CHUNK_DRAWS + 5, 1),
-        ("0x1.b97bf9c1517f8p-11", "cc671785a4fda83ac2cb0f54be41050a", "245a9f3b317e20182b62d1989c1e605a"),
+        (
+            "0x1.b97bf9c1517f8p-11",
+            "cc671785a4fda83ac2cb0f54be41050a",
+            "a077249ea8f0608c3cb9a02749a80058",
+            "0x1.0402d3183e17cp+1",
+        ),
     ),
 }
 
@@ -915,7 +958,8 @@ def test_seeded_runs_are_pinned_to_the_last_bit(name):
     assert (
         summary.standard_error.hex(),
         hashlib.md5(summary.flag_counts.astype("<i8").tobytes()).hexdigest(),
-        hashlib.md5(summary.per_source_age.astype("<f8").tobytes()).hexdigest(),
+        hashlib.md5(summary.interval_sums.astype("<i8").tobytes()).hexdigest(),
+        summary.overall_age.hex(),
     ) == pinned
 
 
