@@ -46,18 +46,19 @@ so is the built row before it, so it folds to C = F = 0 either way.
 A run that expects fewer than SLOT_SAMPLER_FLAGS (one) flagged group-cycle,
 N*m*qbar < 1, p = 0 included, draws no uniform per slot: it draws only its
 flagged slots, by geometric gaps over the N*m slots in (cycle, group) order,
-and feeds their positions to the fold in stretches of a bounded number of
-flagged cycles, so that no block of the fold holds more rows than about a
-chunk's slots, or three rows of m groups. Its work is O((1 + flags)*m), and
-its memory does not grow with its flags. Its flags have the law of the uniform draw
-but come from a stream of their own; every run with N*m*qbar >= 1 draws the
-uniforms.
+and feeds their positions to the fold as it draws them, in stretches that
+each start at a flagged cycle and hold only its flags, so that no block of
+the fold holds more than two rows of m groups, that cycle's and the next.
+Its work is O((1 + flags)*m), and its memory does not grow with its flags.
+Its flags have the law of the uniform draw but come from a stream of their
+own; every run with N*m*qbar >= 1 draws the uniforms.
 
 A run is admitted by _check_int64_totals alone, which refuses every m above
 1 321 122 and every n >= 2^21. At the largest admitted shapes, under
 tracemalloc, a two-cycle run at p = 0.5 peaks at 133 MiB at m = 1 321 122,
 k = 1, and under 1 MiB at m = 1, k = 1 664 509, and a 100-cycle slot-drawn run
-at m = 1 321 122 at 171 MiB whether one or four of its cycles are flagged.
+at m = 1 321 122 at 148.7 to 149.5 MiB whether one or four of its cycles are
+flagged.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -95,9 +96,9 @@ _GATHER_SHARE = 0.35
 _WINDOW_GROUPS = 128
 _WINDOW_SLOTS = 2**14
 # A run expecting fewer flagged group-cycles than this, N*m*qbar, draws only its flagged slots,
-# by _flagged_slots. At about 1.5 us a flag, the slot draw measured faster than the uniform draw
-# up to qbar of about 0.003 (m = 1 to 200, 2 vCPUs), but a wider gate would change the stream of
-# few-flag runs whose 3-SE validation legs are not yet calibrated.
+# by _flagged_slot_stretches. At about 1.5 us a flag, the slot draw measured faster than the
+# uniform draw up to qbar of about 0.003 (m = 1 to 200, 2 vCPUs), but a wider gate would change
+# the stream of few-flag runs whose 3-SE validation legs are not yet calibrated.
 SLOT_SAMPLER_FLAGS = 1.0
 
 
@@ -116,17 +117,6 @@ class AgeSummary:
     standard_error: float
     flag_counts: np.ndarray  # (m + 1,) int64
     interval_sums: np.ndarray  # (3, m) int64
-
-
-class _FlaggedSlots(NamedTuple):
-    """Consecutive cycles of a run given by their flagged (cycle, group) slots, not by a flag array.
-
-    positions holds the slots' flat indices cycle*m + group, sorted, with
-    cycles counted from the first of these cycles.
-    """
-
-    cycles: int
-    positions: np.ndarray
 
 
 def _cycles_per_chunk(config: SystemConfig) -> int:
@@ -148,45 +138,33 @@ def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[n
         yield rng.random((min(chunk_cycles, num_cycles - start), config.m)) < config.qbar
 
 
-def _flagged_slots(config: SystemConfig, seed: int, num_cycles: int) -> np.ndarray:
-    """Sorted flat positions cycle*m + group of a seeded run's flagged slots, drawn by geometric gaps.
+def _flagged_slot_stretches(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[tuple[int, np.ndarray]]:
+    """A seeded run's flagged slots, drawn by geometric gaps, as (cycles, positions) stretches.
 
     As in _flag_chunks, each of the N*m slots, in (cycle, group) order, is
     flagged with probability qbar independently of the others, so the gap
     from one flagged slot, or from slot -1, to the next is geometric:
     G = 1 + floor(E / -log(1 - qbar)), with E a standard exponential, has
     P(G > g) = (1 - qbar)^g (inversion, Devroye 1986). The draw takes one
-    exponential per flag and one more, so its work and memory follow the
-    flags; its stream is not _flag_chunks'. At p = 0 it draws nothing.
+    exponential per flag and one more, so its work follows the flags; its
+    stream is not _flag_chunks'. At p = 0 it draws nothing. A stretch ends
+    where a gap lands in a new cycle: the first starts at cycle 0, and each
+    later one at a flagged cycle, whose flags are its only ones. positions
+    holds a stretch's flagged slots as sorted flat indices cycle*m + group,
+    cycles counted from its first.
     """
-    positions = []
+    m, start, positions = config.m, 0, []
     if config.qbar > 0.0:
         rng = np.random.default_rng(seed)
         rate = -math.log1p(-config.qbar)
-        position, last = -1, num_cycles * config.m - 1
+        position, last = -1, num_cycles * m - 1
         while (gap := rng.standard_exponential() / rate) < last - position:
             position += math.floor(gap) + 1
-            positions.append(position)
-    return np.array(positions, dtype=np.int64)
-
-
-def _flagged_slot_stretches(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[_FlaggedSlots]:
-    """The _flagged_slots of a seeded run as _FlaggedSlots stretches, each with at most B flagged cycles.
-
-    B = max(1, _cycles_per_chunk // 3). A stretch ends before the cycle of
-    every B-th flagged slot, so each stretch but the first starts at a
-    flagged cycle and _gather builds at most 3B rows of m groups for it,
-    about a chunk's slots, or three rows at m > CHUNK_DRAWS / 6, however many
-    cycles of the run are flagged. A run with at most B flagged slots is one
-    stretch.
-    """
-    m = config.m
-    positions = _flagged_slots(config, seed, num_cycles)
-    most = max(1, _cycles_per_chunk(config) // 3)
-    cuts = list(dict.fromkeys([0, *(positions[most::most] // m).tolist(), num_cycles]))  # sorted, distinct
-    for start, end in zip(cuts, cuts[1:]):
-        low, high = np.searchsorted(positions, (start * m, end * m))
-        yield _FlaggedSlots(end - start, positions[low:high] - start * m)
+            if (cycle := position // m) > start:
+                yield cycle - start, np.array(positions, dtype=np.int64)
+                start, positions = cycle, []
+            positions.append(position - start * m)
+    yield num_cycles - start, np.array(positions, dtype=np.int64)
 
 
 def _add_exact_sums(totals: list[int], deviations: np.ndarray) -> None:
@@ -352,11 +330,12 @@ def _gather(m: int, cycles: int, positions: np.ndarray, tail_flagged: bool) -> t
     return block, int(rows[0]), int(rows[-1])
 
 
-def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots]) -> tuple:
+def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | tuple[int, np.ndarray]]) -> tuple:
     """Exact integer sums of a run's intervals, from its group flags fed in cycle order.
 
-    Each chunk is a (cycles, m) bool array of flags or the _FlaggedSlots of
-    its cycles. Over the N-1 complete intervals it keeps per-group sums of C,
+    Each chunk is a (cycles, m) bool array of flags or a (cycles, positions)
+    tuple, positions being its flagged slots' sorted flat indices cycle*m +
+    group. Over the N-1 complete intervals it keeps per-group sums of C,
     C^2, C*F and F, with Y = m + k*C, and turns them into sums of Y, Y^2 and
     Y*F once, at the end; it counts all N cycles by their flag total F. The
     standard error needs each interval's pooled sums over all n sources of Y
@@ -371,8 +350,8 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots
     Row c of a chunk is the interval that cycle c closes. When cycles c-1
     and c are both all clear, the row is quiet: it has C = F = 0 in every
     group and u = v = 0, and is only counted. _fold_block folds each chunk
-    as one block of consecutive rows: the whole chunk, or, for _FlaggedSlots
-    and for a flag array in which few rows can be busy, the _gather of its
+    as one block of consecutive rows: the whole chunk, or, for a tuple and
+    for a flag array in which few rows can be busy, the _gather of its
     flagged slots' positions. A gathered block leaves out only quiet rows,
     and a row it holds after a left-out one folds as the quiet row it is, so
     the lag products are taken from row to row of the block, and across
@@ -389,7 +368,7 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots
     carry = np.zeros(m, dtype=np.int32)  # flags at or after each group in the last cycle; none before cycle 0
     end = 0
     for chunk in flag_chunks:
-        if isinstance(chunk, _FlaggedSlots):
+        if isinstance(chunk, tuple):
             cycles, positions = chunk
         else:  # a flag array has at most 2*hits + 1 busy rows, the 1 when the last cycle was flagged
             cycles = len(chunk)
@@ -427,7 +406,7 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots
     return interval_sums, length_counts, intervals, deviation_sums, opening, tail
 
 
-def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray | _FlaggedSlots]) -> AgeSummary:
+def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray | tuple[int, np.ndarray]]) -> AgeSummary:
     """Renewal-reward age estimate from a run's group flags, fed in cycle order."""
     sums, flag_counts, *standard_error_sums = _fold(config, flag_chunks)
     interval_sum, interval_sq_sum, interval_flag_sum = sums
@@ -512,17 +491,17 @@ def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary
     max(1, CHUNK_DRAWS // m) cycles, and nothing is kept per cycle, so memory
     is one chunk's whatever num_cycles is. A run expecting fewer than one
     flagged group-cycle, N*m*qbar < SLOT_SAMPLER_FLAGS, draws only its
-    flagged slots instead, by _flagged_slots, from a stream of its own, and
-    folds them in stretches whose blocks do not grow with the flags. The
+    flagged slots instead, from a stream of its own, and folds them one
+    flagged cycle a stretch, by _flagged_slot_stretches. The
     random stream consumed and the estimates, to the last bit, do not depend
     on the chunk size. A run whose int64 sums could overflow is refused.
     """
     if num_cycles < 2:
         raise ValueError("age estimation requires at least 2 cycles")
     _check_int64_totals(config, num_cycles)
-    if num_cycles * config.m * config.qbar < SLOT_SAMPLER_FLAGS:
-        return _estimate(config, _flagged_slot_stretches(config, seed, num_cycles))
-    return _estimate(config, _flag_chunks(config, seed, num_cycles))
+    slot_drawn = num_cycles * config.m * config.qbar < SLOT_SAMPLER_FLAGS
+    feed = _flagged_slot_stretches if slot_drawn else _flag_chunks
+    return _estimate(config, feed(config, seed, num_cycles))
 
 
 def empirical_moments(config: SystemConfig, flag_counts: np.ndarray) -> MomentSet:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from groupage import sim
 from groupage.analytic import average_age
@@ -504,8 +504,17 @@ def test_slot_sampler_flag_totals_follow_the_binomial_law(n, p, k, cycles):
 
 
 def slot_sampler_draws(cfg, cycles) -> list[np.ndarray]:
-    """Each seeded run's flagged slot positions, checked to increase strictly and to lie among the run's N*m slots."""
-    runs = [sim._flagged_slots(cfg, seed, cycles) for seed in SLOT_LAW_SEEDS]
+    """Each seeded run's flagged slot positions, start*m + positions over its stretches from cycle start = 0 on.
+
+    They are checked to increase strictly and to lie among the run's N*m slots.
+    """
+    runs = []
+    for seed in SLOT_LAW_SEEDS:
+        start, flat = 0, []
+        for count, positions in sim._flagged_slot_stretches(cfg, seed, cycles):
+            flat.append(start * cfg.m + positions)
+            start += count
+        runs.append(np.concatenate(flat))
     for positions in runs:
         assert (np.diff(positions) > 0).all()
         assert ((positions >= 0) & (positions < cycles * cfg.m)).all()
@@ -539,14 +548,29 @@ def test_flagged_slot_gaps_follow_the_geometric_law(n, p, k, cycles):
     assert chi_square_tail(statistic, cells) >= FLAG_LAW_ALPHA
 
 
-def estimate_from_positions(cfg, flags, chunk):
-    """sim._estimate of an (N, m) flag trace fed as the flat positions of its flagged slots, `chunk` cycles a stretch."""
-    num_cycles, m = flags.shape
-    stretches = []
-    for start in range(0, num_cycles, chunk):
-        cycles = min(chunk, num_cycles - start)
-        stretches.append(sim._FlaggedSlots(cycles, np.flatnonzero(flags[start : start + cycles])))
-    return sim._estimate(cfg, stretches)
+@pytest.mark.parametrize("n, p, k, cycles", SLOT_LAW_RUNS)
+def test_slot_sampler_stretches_hold_one_flagged_cycle_each(n, p, k, cycles):
+    # the stretches cover the run's N cycles from cycle 0 on, and every one after
+    # the first starts at a flagged cycle, whose flags are its only ones
+    cfg = validate_config(n, p, k)
+    for seed in SLOT_LAW_SEEDS:
+        stretches = list(sim._flagged_slot_stretches(cfg, seed, cycles))
+        assert sum(count for count, _ in stretches) == cycles
+        for index, (count, positions) in enumerate(stretches):
+            assert count >= 1 and positions.dtype == np.int64
+            assert ((positions >= 0) & (positions < cfg.m)).all()  # no flag after the stretch's first cycle
+            assert index == 0 or len(positions)
+    slot_sampler_draws(cfg, cycles)  # laid end to end from cycle 0, they increase strictly within [0, N*m)
+
+
+def estimate_from_positions(cfg, flags, cuts):
+    """sim._estimate of an (N, m) flag trace fed as (cycles, positions) stretches, cut before each cycle of cuts.
+
+    positions holds a stretch's flagged slots as flat indices cycle*m + group,
+    cycles counted from the stretch's first.
+    """
+    bounds = sorted({0, *cuts, len(flags)})
+    return sim._estimate(cfg, [(end - start, np.flatnonzero(flags[start:end])) for start, end in zip(bounds, bounds[1:])])
 
 
 @st.composite
@@ -565,15 +589,27 @@ def sparse_flag_runs(draw):
     return validate_config(n, 0.5, k), flags, chunk
 
 
+def flags_at(num_cycles, m, *slots) -> np.ndarray:
+    """An (N, m) flag trace flagged at the given (cycle, group) slots."""
+    flags = np.zeros((num_cycles, m), dtype=bool)
+    flags[tuple(np.array(slots).T)] = True
+    return flags
+
+
 @settings(deadline=None, max_examples=150)
 @given(sparse_flag_runs())
+# cut at each flagged cycle, as the slot sampler feeds a run: a leading quiet stretch, the
+# back-to-back flagged cycles 2 and 3, and a flagged last cycle; then cycle 0 flagged
+@example((validate_config(6, 0.5, 2), flags_at(8, 3, (2, 0), (2, 2), (3, 1), (7, 0)), 3))
+@example((validate_config(3, 0.5, 1), flags_at(5, 3, (0, 1), (1, 0), (4, 2)), 2))
 def test_fold_fed_positions_equals_whole_chunk_fold_and_reference(run):
     cfg, flags, chunk = run
     j = np.arange(1, cfg.k + 1)
     reference = per_source_age_estimate(1 + j * flags[:, :, None].astype(np.int64))
     with mock.patch.object(sim, "_GATHER_SHARE", 0.0):
         whole = estimate_in_chunks(cfg, flags, None)
-    for summary in (whole, estimate_from_positions(cfg, flags, chunk), estimate_from_positions(cfg, flags, len(flags))):
+    cuts = (range(chunk, len(flags), chunk), [], np.flatnonzero(flags.any(axis=1)).tolist())
+    for summary in (whole, *(estimate_from_positions(cfg, flags, at) for at in cuts)):
         check_reference(summary, reference)
         assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
 
@@ -797,10 +833,12 @@ def test_near_all_clear_run_memory_follows_its_flags():
 
 def test_slot_run_memory_does_not_grow_with_its_flagged_cycles():
     # N*m*qbar = 0.9: the run draws only its flagged slots, and each flagged
-    # cycle is a stretch of its own, so no fold block holds more than one row
+    # cycle is a stretch of its own, so no fold block holds more than two rows
     cfg = validate_config(50_000, 1.8e-7, 1)
     assert not draws_uniforms(cfg, 100)
-    flagged_cycles = {seed: len(np.unique(sim._flagged_slots(cfg, seed, 100) // cfg.m)) for seed in range(60)}
+    flagged_cycles = {
+        seed: sum(len(positions) > 0 for _, positions in sim._flagged_slot_stretches(cfg, seed, 100)) for seed in range(60)
+    }
     one = next(seed for seed, count in flagged_cycles.items() if count == 1)
     many = max(flagged_cycles, key=flagged_cycles.get)
     assert flagged_cycles[many] >= 4
