@@ -12,10 +12,11 @@ forms keep their digits when k*p << 1.
 Two exact oracles cross-check the closed forms without using them: a
 binomial convolution over the number of all-clear groups, and a full 2**n
 enumeration of status vectors as integer codes. The convolution sums the
-binomial pmf over the window that holds its mass, so its work follows the
-pmf's spread, not m; the enumeration walks its codes in blocks and counts
-them, exactly, by set bits and flagged groups, so its float work is over at
-most 21 x 21 classes. Neither sums by a BLAS dot.
+binomial pmf over the window that holds its mass, each term from its
+neighbour by their ratio, so its work follows the pmf's spread, not m; the
+enumeration walks its codes in blocks and counts them, exactly, by set bits
+and flagged groups, so its float work is over at most 21 x 21 classes.
+Neither sums by a BLAS dot.
 """
 
 from __future__ import annotations
@@ -118,16 +119,18 @@ _WINDOW_START = 16
 def _binomial_window(trials: int, log_q: float, log_qbar: float) -> tuple[np.ndarray, np.ndarray]:
     """(z, pmf): the Binomial(trials, q) pmf at the consecutive counts z of the window that holds its mass.
 
-    Each term is exp(log C(trials, z) + z*log q + (trials - z)*log qbar),
-    with every log-factorial from math.lgamma, and the pmf is divided by its
-    own sum: the log-factorial differences cancel about trials*log(trials)
-    ulps, which would leave the mass 2.4e-9 short of 1 at trials = 1 321 122
-    and q = 0.5. The window runs from the mode floor((trials + 1)*q) out to
-    the first point on each side, at a doubling distance, whose log-pmf is
-    _WINDOW_LOG_DROP below the mode's, or to 0 and trials. No fixed count of
-    standard deviations would do: at trials = 10**5 and q = 1 - 1e-12 the
-    standard deviation is 3e-4, yet z = trials - 1 carries 1e-7 of the mass.
-    A log of -inf (q = 0 or 1) gives the exact point mass.
+    The window runs from the mode floor((trials + 1)*q) out to the first
+    point on each side, at a doubling distance, whose log-pmf (by
+    math.lgamma) is _WINDOW_LOG_DROP below the mode's, or to 0 and trials.
+    No fixed count of standard deviations would do: at trials = 10**5 and
+    q = 1 - 1e-12 the standard deviation is 3e-4, yet z = trials - 1
+    carries 1e-7 of the mass. Inside it each term's log-pmf relative to the
+    mode's is a cumulative sum, outward from the mode, of the neighbour
+    ratios log pmf(z+1) - log pmf(z) = log((trials - z)/(z + 1)) + log q -
+    log qbar, so the partial sums stay small where the mass is; the terms'
+    exps are divided by their sum. lgamma differences, which cancel about
+    trials*log(trials) ulps, would leave about 1e-12 in every term. A log of
+    -inf (q = 0 or 1) gives the exact point mass.
     """
     if log_q == -math.inf:
         return np.zeros(1, dtype=np.int64), np.ones(1)
@@ -147,18 +150,11 @@ def _binomial_window(trials: int, log_q: float, log_qbar: float) -> tuple[np.nda
             width *= 2
         return mode + sign * min(width, sign * (limit - mode))
 
-    def log_factorials(start: int, stop: int) -> np.ndarray:  # log(i!) for i = start..stop-1
-        return np.fromiter(map(math.lgamma, range(start + 1, stop + 1)), dtype=np.float64, count=stop - start)
-
     lo, hi = end(-1, 0), end(1, trials)
-    first, stop = min(lo, trials - hi), max(hi, trials - lo) + 1
-    if stop - first <= 2 * (hi + 1 - lo):  # z! and (trials - z)! overlap: one table serves both
-        table = log_factorials(first, stop)
-        log_z, log_rest = table[lo - first : hi + 1 - first], table[trials - hi - first : trials - lo + 1 - first]
-    else:
-        log_z, log_rest = log_factorials(lo, hi + 1), log_factorials(trials - hi, trials - lo + 1)
     z = np.arange(lo, hi + 1)
-    pmf = np.exp(log_total - log_z - log_rest[::-1] + z * log_q + (trials - z) * log_qbar)
+    steps = np.log((trials - z[:-1]) / (z[:-1] + 1)) + (log_q - log_qbar)  # log pmf(z+1) - log pmf(z)
+    below, above = steps[: mode - lo], steps[mode - lo :]
+    pmf = np.exp(np.concatenate((-np.cumsum(below[::-1])[::-1], [0.0], np.cumsum(above))))
     return z, pmf / pmf.sum()
 
 

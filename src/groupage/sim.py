@@ -55,9 +55,9 @@ own; every run with N*m*qbar >= 1 draws the uniforms.
 
 A run is admitted by _check_int64_totals alone, which refuses every m above
 1 321 122 and every n >= 2^21. At the largest admitted shapes, under
-tracemalloc, a two-cycle run at p = 0.5 peaks at 133 MiB at m = 1 321 122,
+tracemalloc, a two-cycle run at p = 0.5 peaks at 102 MiB at m = 1 321 122,
 k = 1, and under 1 MiB at m = 1, k = 1 664 509, and a 100-cycle slot-drawn run
-at m = 1 321 122 at 148.7 to 149.5 MiB whether one or four of its cycles are
+at m = 1 321 122 at 118.4 to 119.2 MiB whether one or four of its cycles are
 flagged.
 """
 
@@ -247,7 +247,6 @@ def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.n
     """
     rows, m = block.shape
     narrow = np.int32 if max(m**3, rows * m * m) < 2**31 else np.int64
-    group = np.empty((4, m), dtype=narrow)  # over the rows from first_row: sum C, sum C^2, sum C*F, sum F
     if m < _WINDOW_GROUPS and rows * m >= _WINDOW_SLOTS:
         flags = np.empty((rows + 1) * m, dtype=np.int8)
         np.subtract(carry[:-1], carry[1:], out=flags[: m - 1], casting="unsafe")  # the previous block's last row
@@ -260,8 +259,7 @@ def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.n
         # last), in every row from first_row on, less those at or after g in the last row
         first = carry if first_row == 0 else np.cumsum(block[0, ::-1])[::-1]
         last = np.cumsum(block[-1, ::-1])[::-1]
-        np.subtract(first, last, out=group[0])
-        group[0] += row_flags[first_row:].sum()
+        sums[0] += first - last + row_flags[first_row:].sum()
         carry[:] = last
         del flags, windows  # before the reductions' temporaries
     else:
@@ -273,14 +271,13 @@ def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.n
         c = before[1:] - before[:-1]
         row_flags = np.subtract(counts[2 * m :: m], counts[m:-1:m], dtype=np.int64)
         np.subtract(counts[-1], before[-1], out=carry, casting="same_kind")
-        np.subtract(before[-1], before[first_row], out=group[0])
+        sums[0] += before[-1] - before[first_row]
         del counts, before  # before the reductions' temporaries
     length_counts = np.bincount(row_flags)
     c, f, row_flags = c[first_row:], block[first_row:].astype(narrow), row_flags[first_row:]
-    np.einsum("ij,ij->j", c, c, out=group[1])
-    np.einsum("ij,ij->j", c, f, out=group[2])
-    np.einsum("ij->j", f, out=group[3])
-    sums += group
+    sums[1] += np.einsum("ij,ij->j", c, c)
+    sums[2] += np.einsum("ij,ij->j", c, f)
+    sums[3] += np.einsum("ij->j", f)
     row_c = np.einsum("ij->i", c)
     row_cc = np.einsum("ij,ij->i", c, c)
     row_cf = np.einsum("ij,ij->i", c, f)

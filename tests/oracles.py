@@ -3,23 +3,23 @@
 These deliberately avoid the library's own code paths: the expanded age
 formula catches transcription errors in the composed form, the per-config
 closed forms pin the float operation order of the library's kernel, the
-50-digit mpmath moments are the exact values the closed forms must round
-to, the per-source service mean is the one the mean service averages, the
-bisection solver checks the Lambert W iteration against nothing but
-monotonicity of x * exp(x), the looped binomial convolution and the
-(2**n, m, k) status enumeration are the library's exact oracles as first
-written, the full flag trace and its per-cycle moments redo the streaming
-simulator's fold and sample moments from one (N, m, k) per-source draw, the
-50-digit binomial law of a cycle's, or a run's, flagged groups and the
-chi-square tail judge the simulator's own flags, whether drawn one uniform
-a group or as the flagged slots alone, the block fold from generation
-instants is the simulator's block fold as it was before it counted flags, the
-standard errors of a counted series and of the pooled age ratio are
-computed in exact rationals, the per-source sampler, timeline views,
-estimator and cross-term correlation redo the simulator's work source by
-source on (N, m, k) arrays, with no use of the per-group shortcuts, and a
-summary's per-source ages and their exact mean follow from its per-group
-sums.
+50-digit mpmath moments are the exact values the closed forms and the
+convolution oracle must round to, the per-source service mean is the one
+the mean service averages, the bisection solver checks the Lambert W
+iteration against nothing but monotonicity of x * exp(x), the (2**n, m, k)
+status enumeration is the library's exact oracle as first written, the full
+flag trace and its per-cycle moments redo the streaming simulator's fold
+and sample moments from one (N, m, k) per-source draw, the 50-digit
+binomial law of a cycle's, or a run's, flagged groups judges the
+convolution oracle's pmf term by term and, with the chi-square tail, the
+simulator's own flags, whether drawn one uniform a group or as the flagged
+slots alone, the block fold from generation instants is the simulator's
+block fold as it was before it counted flags, the standard errors of a
+counted series and of the pooled age ratio are computed in exact
+rationals, the per-source sampler, timeline views, estimator and
+cross-term correlation redo the simulator's work source by source on
+(N, m, k) arrays, with no use of the per-group shortcuts, and a summary's
+per-source ages and their exact mean follow from its per-group sums.
 """
 
 from __future__ import annotations
@@ -88,49 +88,6 @@ def mpmath_moments(n: int, p: float, k: int) -> tuple:
         second = m * second_w + m * (m - 1) * mean_w**2
         service = q + flagged * (1 + mpmath.mpf(k + 1) / 2)
         return mean, second, service, second / (2 * mean) + service
-
-
-def _binomial_pmf(m: int, z: int, log_q: float, log_qbar: float) -> float:
-    if log_qbar == -math.inf:  # p = 0: every group is all clear
-        return 1.0 if z == m else 0.0
-    if log_q == -math.inf:  # p = 1: none is
-        return 1.0 if z == 0 else 0.0
-    log_pmf = (
-        math.lgamma(m + 1)
-        - math.lgamma(z + 1)
-        - math.lgamma(m - z + 1)
-        + z * log_q
-        + (m - z) * log_qbar
-    )
-    return math.exp(log_pmf)
-
-
-def looped_convolution_moments(config) -> tuple[float, float, float, float]:
-    """(E[Y], E[Y^2], E[S], age) from one Python lgamma pmf term per count z of all-clear groups.
-
-    It takes its own log q = k*log1p(-p) and qbar = 1 - q = -expm1(log q)
-    from p, so neither cancels when k*p << 1. Its lgamma terms cancel about
-    m*log(m) ulps, so the sums are divided by the summed mass, which is 1
-    only up to that error: without the division, E[Y] at m = 46, k = 1 and
-    p = 0.5 would be 69.0000000000009, not 69.
-    """
-    m, k, p = config.m, config.k, config.p
-    log_q = k * math.log1p(-p) if p < 1.0 else -math.inf
-    qbar = -math.expm1(log_q)
-    log_qbar = math.log(qbar) if qbar > 0.0 else -math.inf
-    mass = 0.0
-    mean = 0.0
-    second = 0.0
-    for z in range(m + 1):
-        pmf = _binomial_pmf(m, z, log_q, log_qbar)
-        y = m * (k + 1) - k * z
-        mass += pmf
-        mean += pmf * y
-        second += pmf * y * y
-    mean /= mass
-    second /= mass
-    service = sum(1.0 + j * qbar for j in range(1, k + 1)) / k
-    return mean, second, service, second / (2.0 * mean) + service
 
 
 def per_source_enumeration_moments(config) -> tuple[float, float, float, float]:

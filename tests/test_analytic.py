@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from groupage.model import divisors, validate_config
 from oracles import (
     expanded_average_age,
     expected_source_service,
-    looped_convolution_moments,
+    flagged_group_count_pmf,
     mpmath_moments,
     per_group_time_moments,
     per_source_enumeration_moments,
@@ -212,22 +213,23 @@ def test_enumeration_matches_per_source_reference(nk, p):
     _assert_moments_match(enumeration_oracle(cfg), per_source_enumeration_moments(cfg), rel=1e-14)
 
 
+def _assert_matches_mpmath(cfg):
+    _assert_moments_match(convolution_oracle(cfg), mpmath_moments(cfg.n, cfg.p, cfg.k), rel=1e-14)
+
+
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=5000), st.integers(min_value=1, max_value=64), probabilities)
-def test_convolution_matches_looped_reference(m, k, p):
-    cfg = validate_config(m * k, p, k)
-    _assert_moments_match(convolution_oracle(cfg), looped_convolution_moments(cfg), rel=1e-14)
+@example(m=3149, k=19, p=0.007564772575354485)  # lgamma terms put E[S] 1.0e-14 from the lgamma reference here
+def test_convolution_matches_mpmath(m, k, p):
+    _assert_matches_mpmath(validate_config(m * k, p, k))
 
 
-@pytest.mark.parametrize("p", [0.5, 0.1])
+@pytest.mark.parametrize("p", [0.5, 0.1, 1e-3])
 def test_convolution_oracle_holds_at_the_largest_admitted_group_count(p):
     # m = 1 321 122 is the most groups the simulator's int64 check admits at
-    # k = 1; here the lgamma pmf's mass was 2.4e-9 short of 1 before it was
-    # divided by its sum, and validate exited 2 on correct closed forms
-    cfg = validate_config(1_321_122, p, 1)
-    closed = closed_form_moments(cfg)
-    reference = (closed.mean_cycle, closed.second_moment_cycle, closed.mean_service, closed.average_age)
-    _assert_moments_match(convolution_oracle(cfg), reference, rel=1e-12)
+    # k = 1; here a pmf of lgamma terms was 2.4e-9 short of 1 before it was
+    # divided by its sum, and 2.0e-14 off after, at p = 1e-3
+    _assert_matches_mpmath(validate_config(1_321_122, p, 1))
 
 
 @pytest.mark.parametrize("m,p", [(100_000, 1e-12), (2, 5e-5)])
@@ -237,8 +239,7 @@ def test_convolution_window_holds_mass_where_sigma_is_below_one(m, p):
     # holds z = m alone about the mode, while z = m - 1 carries 1e-7 of the
     # mass; at m = 2 (sigma about 0.01) it holds z = 1 and 2 even when rounded
     # outward from the mean, while z = 0 carries 2.5e-9
-    cfg = validate_config(m, p, 1)
-    _assert_moments_match(convolution_oracle(cfg), looped_convolution_moments(cfg), rel=1e-14)
+    _assert_matches_mpmath(validate_config(m, p, 1))
 
 
 def _window(cfg):
@@ -253,7 +254,7 @@ def test_convolution_window_lies_inside_the_counts_at_many_groups(p):
     # at p = 1e-3 all m groups are clear with probability q^m = e^-100, within
     # 800 of the mode's log-pmf, so only there the window reaches z = m
     assert (z[-1] == cfg.m) == (p == 1e-3)
-    _assert_moments_match(convolution_oracle(cfg), looped_convolution_moments(cfg), rel=1e-14)
+    _assert_matches_mpmath(cfg)
 
 
 @pytest.mark.parametrize(
@@ -270,7 +271,17 @@ def test_convolution_window_with_its_mode_at_an_end(m, k, p, mode):
     assert z[0] == 0 if mode == "low" else z[-1] == m
     if mode == "low":
         assert cfg.q == 0.0 and p < 1.0
-    _assert_moments_match(convolution_oracle(cfg), looped_convolution_moments(cfg), rel=1e-14)
+    _assert_matches_mpmath(cfg)
+
+
+@pytest.mark.parametrize("m,k,p", [(3149, 19, 0.007564772575354485), (1000, 1, 0.3), (5000, 64, 0.01)])
+def test_convolution_window_pmf_matches_mpmath_term_by_term(m, k, p):
+    # terms from lgamma differences were 9.4e-13 to 6.0e-12 off here
+    z, pmf = _window(validate_config(m * k, p, k))
+    exact = np.array(flagged_group_count_pmf(m, k, p))[m - z]  # z clear groups are m - z flagged ones
+    held = pmf >= 1e-6 * pmf.max()
+    assert held.sum() > 10
+    assert np.all(np.abs(pmf[held] - exact[held]) <= 1e-13 * exact[held])
 
 
 def test_convolution_oracle_memory_follows_the_window():
