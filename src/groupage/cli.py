@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 analytic validation mismatch,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -36,10 +37,10 @@ SIMULATION_ALPHA = math.erfc(3.0 / math.sqrt(2.0))
 # Largest working set of age-vs-n's rows, at _AGE_VS_N_ROW_BYTES each, in
 # bytes; over it, age-vs-n exits 1 up front. simulate and validate admit what
 # sim._check_int64_totals admits, at most m = 1 321 122 groups and n < 2^21
-# sources, and their largest such runs peak well under it: traced, 133 MiB for
-# validate --n 1321122 --p 0.5 --k 1 --cycles 50 --seeds 0 (the simulator's;
-# its convolution oracle's pmf window traces 2.6 MiB), and 149 MiB for the
-# slot-drawn run at --p 7e-9 --cycles 100, with --seeds 0 or --seeds 0,2,3,25.
+# sources, and their largest such runs peak well under it, at the simulator's
+# peak: traced, 103 MiB for validate --n 1321122 --p 0.5 --k 1 --cycles 50
+# --seeds 0 (its convolution oracle's pmf window traces 2.6 MiB), and 119 MiB
+# for the slot-drawn run at --p 7e-9 --cycles 100, with --seeds 0 or 0,2,3,25.
 MEMORY_BUDGET_BYTES = 2**30
 # Peak bytes per age-vs-n row (its tuple, numbers and CSV line), under
 # tracemalloc: 313 to 330 over 20 000 to 40 000 rows.
@@ -256,77 +257,75 @@ def _uniform_run_tail(config: SystemConfig, cycles: int, flag_total: int) -> flo
     return min(1.0, 2.0 * math.exp(slots * log_chance))
 
 
+def _simulation_legs(config: SystemConfig, closed: analytic.MomentSet, cycles: int, summary: sim.AgeSummary):
+    """A seed's exact tail, its EXACT: line's word and its four legs as (label, estimate, closed form, bound, ok).
+
+    A leg passes within bound = 3 estimated SEs of its closed form. Besides
+    the age's own SE, the SEs are of per-cycle series (L, L^2, mean service)
+    that depend only on a cycle's flagged-group count, so they come from the
+    run's flag counts. A run with no group, or every group, flagged (word
+    "no" or "every") has legs fixed by that event, whose SEs are exactly 0:
+    its legs pass by the event's exact two-sided tail, min(1, 2P) with P its
+    chance, when that is at least SIMULATION_ALPHA, the 3-SE rule's level.
+    Any other run's tail is None.
+    """
+    counts = summary.flag_counts
+    flagged = np.arange(config.m + 1, dtype=np.int64)
+    lengths = config.m + config.k * flagged
+    services = (config.n + flagged * (config.k * (config.k + 1) // 2)) / config.n
+    moments = sim.empirical_moments(config, counts)
+    flag_total = int(counts @ flagged)
+    tail = _uniform_run_tail(config, cycles, flag_total)
+    legs = []
+    for label, value, reference, se in (
+        ("age", summary.overall_age, closed.average_age, summary.standard_error),
+        ("mean_cycle", moments.mean_cycle, closed.mean_cycle, _standard_error(lengths, counts)),
+        ("second_moment_cycle", moments.second_moment_cycle, closed.second_moment_cycle,
+         _standard_error(lengths * lengths, counts)),
+        ("mean_service", moments.mean_service, closed.mean_service, _standard_error(services, counts)),
+    ):
+        bound = 3.0 * se
+        ok = abs(value - reference) <= bound if tail is None else tail >= SIMULATION_ALPHA
+        legs.append((label, value, reference, bound, ok))
+    return tail, "no" if flag_total == 0 else "every", legs
+
+
 def cmd_validate(n: int, p: float, k: int, cycles: int, seeds: list[int]) -> int:
-    """Check closed forms against both exact oracles and against simulation.
+    """Check closed forms against both exact oracles and against simulation, and print every leg.
 
-    Analytic legs must agree to relative 1e-9; each simulated quantity must
-    land within 3 estimated standard errors of its closed form, for every
-    seed. Besides the age's own SE, the SEs are of per-cycle series (L, L^2,
-    mean service) that depend only on a cycle's flagged-group count, so they
-    come from the run's flag counts.
-
-    A run in which no group, or every group, was flagged has legs that are
-    fixed functions of that event, so their sample SEs are exactly 0 and a
-    3-SE bound would ask for equality with the closed form. Such a run's legs
-    take the event's exact two-sided tail instead, min(1, 2P) with P its
-    chance, and pass when it is at least SIMULATION_ALPHA, the 3-SE rule's
-    level. The tail is printed on a line of its own, before the legs.
+    An analytic leg passes when each moment agrees to relative ANALYTIC_RTOL;
+    _simulation_legs judges each seed's simulation legs, and a seed's exact
+    tail, when it has one, is printed on a line of its own before its legs.
     """
     config = validate_config(n, p, k)
     sim._check_int64_totals(config, cycles)
     closed = analytic.closed_form_moments(config)
-    analytic_ok = True
-    statistical_ok = True
-
-    def check_exact(label: str, candidate) -> None:
-        nonlocal analytic_ok
-        pairs = [
-            ("mean_cycle", candidate.mean_cycle, closed.mean_cycle),
-            ("second_moment_cycle", candidate.second_moment_cycle, closed.second_moment_cycle),
-            ("mean_service", candidate.mean_service, closed.mean_service),
-            ("average_age", candidate.average_age, closed.average_age),
-        ]
-        worst = max(_relative_error(value, reference) for _, value, reference in pairs)
+    analytic_ok = statistical_ok = True
+    oracles = [("convolution-oracle", analytic.convolution_oracle)]
+    if n <= analytic.ENUMERATION_MAX_SOURCES:
+        oracles.append(("enumeration-oracle", analytic.enumeration_oracle))
+    for label, oracle in oracles:
+        pairs = zip(dataclasses.astuple(oracle(config)), dataclasses.astuple(closed))
+        worst = max(_relative_error(value, reference) for value, reference in pairs)
         ok = worst <= ANALYTIC_RTOL
         analytic_ok = analytic_ok and ok
         print(f"{'PASS' if ok else 'FAIL'}: closed-form vs {label}: max relative error {worst:.3e}")
-
-    check_exact("convolution-oracle", analytic.convolution_oracle(config))
-    if n <= analytic.ENUMERATION_MAX_SOURCES:
-        check_exact("enumeration-oracle", analytic.enumeration_oracle(config))
-    else:
+    if n > analytic.ENUMERATION_MAX_SOURCES:
         print(f"SKIP: enumeration-oracle (needs n <= {analytic.ENUMERATION_MAX_SOURCES}, got n={n})")
-
-    flagged = np.arange(config.m + 1, dtype=np.int64)
-    lengths = config.m + k * flagged
-    mean_services = (n + flagged * (k * (k + 1) // 2)) / n
     for seed in sorted(seeds):
-        summary = sim.simulate_age(config, cycles, seed)
-        moments = sim.empirical_moments(config, summary.flag_counts)
-        se_mean = _standard_error(lengths, summary.flag_counts)
-        se_second = _standard_error(lengths * lengths, summary.flag_counts)
-        se_service = _standard_error(mean_services, summary.flag_counts)
-        flag_total = int(summary.flag_counts @ flagged)
-        tail = _uniform_run_tail(config, cycles, flag_total)
+        # the summary lives only inside _simulation_legs, so it is freed before the next seed's run
+        tail, word, legs = _simulation_legs(config, closed, cycles, sim.simulate_age(config, cycles, seed))
         if tail is not None:
             print(
-                f"EXACT: simulation seed={seed}: {'no' if flag_total == 0 else 'every'} group flagged "
-                f"in {cycles * config.m} group-cycles, two-sided tail {tail:.3g} (level {SIMULATION_ALPHA:.3g})"
+                f"EXACT: simulation seed={seed}: {word} group flagged in {cycles * config.m} group-cycles, "
+                f"two-sided tail {tail:.3g} (level {SIMULATION_ALPHA:.3g})"
             )
-        legs = [
-            ("age", summary.overall_age, closed.average_age, summary.standard_error),
-            ("mean_cycle", moments.mean_cycle, closed.mean_cycle, se_mean),
-            ("second_moment_cycle", moments.second_moment_cycle, closed.second_moment_cycle, se_second),
-            ("mean_service", moments.mean_service, closed.mean_service, se_service),
-        ]
-        for label, value, reference, se in legs:
-            ok = abs(value - reference) <= 3.0 * se if tail is None else tail >= SIMULATION_ALPHA
+        for label, value, reference, bound, ok in legs:
             statistical_ok = statistical_ok and ok
             print(
                 f"{'PASS' if ok else 'FAIL'}: simulation seed={seed} {label}: "
-                f"estimate {value:.6g} vs {reference:.6g} (3se = {3.0 * se:.3g})"
+                f"estimate {value:.6g} vs {reference:.6g} (3se = {bound:.3g})"
             )
-        del summary  # so that it is freed before the next seed's run, not kept alongside it
     if not analytic_ok:
         return EXIT_ANALYTIC_MISMATCH
     if not statistical_ok:
