@@ -37,10 +37,8 @@ SIMULATION_ALPHA = math.erfc(3.0 / math.sqrt(2.0))
 # Largest working set of age-vs-n's rows, at _AGE_VS_N_ROW_BYTES each, in
 # bytes; over it, age-vs-n exits 1 up front. simulate and validate admit what
 # sim._check_int64_totals admits, at most m = 1 321 122 groups and n < 2^21
-# sources, and their largest such runs peak well under it, at the simulator's
-# peak: traced, 103 MiB for validate --n 1321122 --p 0.5 --k 1 --cycles 50
-# --seeds 0 (its convolution oracle's pmf window traces 2.6 MiB), and 119 MiB
-# for the slot-drawn run at --p 7e-9 --cycles 100, with --seeds 0 or 0,2,3,25.
+# sources; the largest, validate --n 1321122 --p 0.5 --k 1 --cycles 50, traces
+# 103 MiB, and tests/test_pins.py holds it under this budget.
 MEMORY_BUDGET_BYTES = 2**30
 # Peak bytes per age-vs-n row (its tuple, numbers and CSV line), under
 # tracemalloc: 313 to 330 over 20 000 to 40 000 rows.
@@ -56,13 +54,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_p_list(text: str) -> list[float]:
+def _parse_list(text: str, convert, noun: str) -> list:
     try:
-        values = [float(part) for part in text.split(",") if part != ""]
+        values = [convert(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise UsageError(f"invalid probability list {text!r}") from exc
+        raise UsageError(f"invalid {noun} list {text!r}") from exc
     if not values:
-        raise UsageError("probability list must not be empty")
+        raise UsageError(f"{noun} list must not be empty")
+    return values
+
+
+def _parse_p_list(text: str) -> list[float]:
+    values = _parse_list(text, float, "probability")
     for p in values:
         if not 0.0 <= p <= 1.0:
             raise UsageError(f"probabilities must lie in [0, 1], got {p}")
@@ -86,12 +89,7 @@ def _parse_n_range(text: str) -> range:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    try:
-        seeds = [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise UsageError(f"invalid seed list {text!r}") from exc
-    if not seeds:
-        raise UsageError("seed list must not be empty")
+    seeds = _parse_list(text, int, "seed")
     if min(seeds) < 0:
         raise UsageError(f"invalid seed list {text!r}: seeds must be non-negative")
     return seeds

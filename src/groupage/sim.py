@@ -54,11 +54,10 @@ Its flags have the law of the uniform draw but come from a stream of their
 own; every run with N*m*qbar >= 1 draws the uniforms.
 
 A run is admitted by _check_int64_totals alone, which refuses every m above
-1 321 122 and every n >= 2^21. At the largest admitted shapes, under
-tracemalloc, a two-cycle run at p = 0.5 peaks at 102 MiB at m = 1 321 122,
-k = 1, and under 1 MiB at m = 1, k = 1 664 509, and a 100-cycle slot-drawn run
-at m = 1 321 122 at 118.4 to 119.2 MiB whether one or four of its cycles are
-flagged.
+1 321 122 and every n >= 2^21. At the largest admitted shapes a run traces
+about 103 MiB at m = 1 321 122, k = 1, p = 0.5, 1 MiB at m = 1, k = 1 664 509,
+and 118.4 to 119.2 MiB at m = 1 321 122 slot-drawn over 100 cycles, one to four
+of them flagged; tests/test_pins.py holds these under 1 GiB, 8 and 130 MiB.
 """
 
 from __future__ import annotations
@@ -445,6 +444,8 @@ def _pooled_standard_error(config: SystemConfig, intervals: int, deviation_sums:
     sum rho_i = -(N-1)*base, so both sums of R follow from the deviation sums
     and the first and last intervals. The estimator is approximate: per-source
     ratios are combined as if their denominators shared the common mean.
+    Since sum R_i = 0, the SE is exactly 0 at N <= 3 cycles, whatever was
+    flagged: R_1 = 0 alone, and sum R_i^2 + 2*R_1*R_2 = (R_1 + R_2)^2 = 0.
     """
     m, k = config.m, config.k
     quiet_y, quiet_area = k * m * m, k * m * m * (m + 2)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from oracles import (
     per_group_time_moments,
     per_source_enumeration_moments,
 )
+from tracing import traced_peak
 
 REL = 1e-9
 
@@ -286,12 +286,7 @@ def test_convolution_window_pmf_matches_mpmath_term_by_term(m, k, p):
 
 def test_convolution_oracle_memory_follows_the_window():
     # the pmf over all m + 1 counts of a 1 321 122-group config traced 60.5 MiB
-    tracemalloc.start()
-    try:
-        convolution_oracle(validate_config(1_321_122, 0.5, 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(convolution_oracle, validate_config(1_321_122, 0.5, 1))
     assert peak < 8 * 2**20
 
 
@@ -301,12 +296,8 @@ def test_convolution_mean_service_holds_at_any_group_size(n, k, p):
     # E[S] comes from the window's mean flagged groups, so nothing is k long: a mean over
     # 1 + j*qbar for j = 1..k traced 25.5 MiB at k = 1 664 509, and could not be held at 10**12
     cfg = validate_config(n, p, k)
-    tracemalloc.start()
-    try:
-        service = convolution_oracle(cfg).mean_service
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    oracle, peak = traced_peak(convolution_oracle, cfg)
+    service = oracle.mean_service
     assert abs(service - mean_service_time(cfg)) <= 1e-12 * mean_service_time(cfg)
     assert peak < 2**20
 
@@ -339,22 +330,12 @@ def test_closed_forms_match_mpmath_to_1e_12_relative(cfg):
 
 def test_enumeration_oracle_memory_at_twenty_sources():
     # a (2**20, 20) bit array alone would take 20 MiB as int8 and 160 MiB as int64
-    tracemalloc.start()
-    try:
-        enumeration_oracle(validate_config(20, 0.01, 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(enumeration_oracle, validate_config(20, 0.01, 1))
     assert peak < 64 * 2**20
 
 
 def test_enumeration_oracle_peak_memory_is_one_block():
-    tracemalloc.start()
-    try:
-        enumeration_oracle(validate_config(20, 0.01, 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(enumeration_oracle, validate_config(20, 0.01, 1))
     assert peak < 8 * 2**20
 
 

@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import math
 import re
-import tracemalloc
 import weakref
 from fractions import Fraction
 from unittest import mock
@@ -29,6 +28,7 @@ from groupage.cli import (
 from groupage.model import divisors, validate_config
 
 from oracles import exact_standard_error
+from tracing import traced_peak
 
 
 def _read_rows(path):
@@ -177,13 +177,25 @@ def test_validate_exact_at_p_zero(capsys):
     assert "FAIL" not in out
 
 
-def test_usage_errors_exit_one():
-    assert main(["age-vs-k", "--n", "120", "--p-list", "0.1,oops"]) == EXIT_USAGE
-    assert main(["age-vs-k", "--n", "120", "--p-list", "1.5"]) == EXIT_USAGE
-    assert main(["age-vs-n", "--n-range", "60-1200", "--p-list", "0.1"]) == EXIT_USAGE
-    assert main(["simulate", "--n", "12", "--p", "0.3", "--k", "5", "--cycles", "100"]) == EXIT_USAGE
-    assert main(["simulate", "--n", "12", "--p", "0.3", "--k", "3", "--cycles", "1"]) == EXIT_USAGE
-    assert main(["nonsense"]) == EXIT_USAGE
+# (command line, its whole stderr after "error: ")
+USAGE_ERRORS = [
+    ("age-vs-k --n 120 --p-list 0.1,oops", "invalid probability list '0.1,oops'"),
+    ("age-vs-k --n 120 --p-list 1.5", "probabilities must lie in [0, 1], got 1.5"),
+    ("age-vs-k --n 120 --p-list ,", "probability list must not be empty"),
+    ("age-vs-n --n-range 60-1200 --p-list 0.1", "expected an n range start:stop:step, got '60-1200'"),
+    ("simulate --n 12 --p 0.3 --k 5 --cycles 100", "k must divide n exactly, got n=12, k=5"),
+    ("simulate --n 12 --p 0.3 --k 3 --cycles 1", "--cycles must be >= 2"),
+    ("simulate --n 12 --p 0.3 --k 3 --seeds 0,x", "invalid seed list '0,x'"),
+    ("simulate --n 12 --p 0.3 --k 3 --seeds ,", "seed list must not be empty"),
+    ("validate --n 12 --p 0.3 --k 3 --seeds 1,-1", "invalid seed list '1,-1': seeds must be non-negative"),
+]
+
+
+def test_usage_errors_exit_one(capsys):
+    for args, message in USAGE_ERRORS:
+        assert main(args.split()) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n", args
+    assert main(["nonsense"]) == EXIT_USAGE  # argparse words this one
 
 
 def test_validate_passes_an_all_clear_run_by_its_exact_tail(capsys):
@@ -428,12 +440,8 @@ def test_largest_admitted_runs_fit_the_budget(capsys):
     assert (groups, width) == (1_321_122, 1_664_509)
     assert not _int64_admits(groups + 1, 1) and not _int64_admits(width + 1, width + 1)
     for n, k in [(groups, 1), (width, width)]:
-        tracemalloc.start()
-        try:
-            code = main(["simulate", "--n", str(n), "--p", "0.5", "--k", str(k), "--cycles", "2", "--seeds", "0"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        argv = ["simulate", "--n", str(n), "--p", "0.5", "--k", str(k), "--cycles", "2", "--seeds", "0"]
+        code, peak = traced_peak(main, argv)
         assert code == EXIT_OK, capsys.readouterr().err
         assert peak < cli.MEMORY_BUDGET_BYTES
 
@@ -467,16 +475,9 @@ def test_validate_traces_no_more_than_its_simulator(capsys):
     argv = ["validate", "--n", "200000", "--p", "4.5e-8", "--k", "1", "--cycles", "100", "--seeds", "0"]
     cfg = validate_config(200_000, 4.5e-8, 1)
     assert main(argv) == EXIT_OK  # untraced, so that first-call allocations count in neither peak
-    peaks = []
-    for run in (lambda: sim.simulate_age(cfg, 100, 0), lambda: main(argv)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    _, simulator = traced_peak(sim.simulate_age, cfg, 100, 0)
+    _, validate = traced_peak(main, argv)
     capsys.readouterr()
-    simulator, validate = peaks
     assert validate <= simulator + 256 * 2**10, (validate / 2**20, simulator / 2**20)
 
 
@@ -484,12 +485,7 @@ def test_huge_n_range_exits_one_before_any_optimizer_call(capsys):
     refuse = mock.Mock(side_effect=AssertionError("ran the optimizer past the n-range check"))
     with mock.patch.object(cli, "optimal_group_size_updating", refuse):
         for n_range, reason in [("1:1000000000:1", "budget"), (f"1:{10**12 + 1}:1", "n <= 1000000000000")]:
-            tracemalloc.start()
-            try:
-                code = main(["age-vs-n", "--n-range", n_range, "--p-list", "0.1"])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(main, ["age-vs-n", "--n-range", n_range, "--p-list", "0.1"])
             captured = capsys.readouterr()
             assert code == EXIT_USAGE
             assert captured.out == ""

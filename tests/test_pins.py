@@ -1,10 +1,12 @@
-"""Byte pins of the CLI's output: seeded simulate digests, validate_model.py's simulation lines, results/ CSVs.
+"""CI's pins and bounds: seeded simulate digests, validate_model.py's simulation lines, results/ CSVs,
+the traced memory of the largest admitted runs, and the workflow's Tier-1 steps.
 
 Each check runs through cli.main, which prints the same bytes as the
-installed groupage script.
+installed groupage script, or through the library.
 """
 
 import hashlib
+import re
 import runpy
 from pathlib import Path
 from unittest import mock
@@ -12,6 +14,8 @@ from unittest import mock
 import pytest
 
 from groupage import cli
+
+from tracing import cold_traced
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -82,3 +86,59 @@ def test_script_argv_reproduces_the_committed_results_csv(script, tmp_path):
     argv[argv.index("--out") + 1] = str(out)
     assert cli.main(argv) == cli.EXIT_OK
     assert out.read_bytes() == committed.read_bytes()
+
+
+MiB = 2**20
+
+# Traced-memory checks at the largest shapes the int64 check admits, as
+# (call, bound in bytes): ["groupage", command line] runs cli.main, [name,
+# [n, p, k, *args]] runs groupage.<name>(validate_config(n, p, k), *args).
+# Each step runs its checks in order in one fresh interpreter, which traces
+# what a warm test process may not.
+COLD_MEMORY_STEPS = {
+    # the n = 20 enumeration walks its codes in blocks, the simulator keeps no
+    # per-cycle series, and neither the simulator nor the convolution oracle
+    # holds a k-long array, so no run grows with its input: 3.49, 0.01, 0.01 MiB
+    "validate-under-8MiB": [
+        (["groupage", "validate --n 20 --p 0.3 --k 1 --cycles 50000"], 8 * MiB),
+        (["groupage", "validate --n 1 --p 1e-9 --k 1 --cycles 1000000"], 8 * MiB),
+        (["groupage", "validate --n 1664509 --p 0.5 --k 1664509 --cycles 2"], 8 * MiB),
+    ],
+    # N*m*qbar is about 0.92 at m = 1321122, so each run draws only its flagged
+    # slots; seeds 0, 3, 2 and 25 flag 1, 2, 3 and 4 cycles. Each flagged cycle
+    # is a stretch of its own, whose fold block holds at most two rows of m
+    # groups, and validate frees each seed's summary before the next seed's run,
+    # so four seeds trace what one run does: 118.4-119.2 MiB
+    "slot-drawn-under-130MiB": [
+        *((["simulate_age", [1321122, 7e-9, 1, 100, seed]], 130 * MiB) for seed in (0, 2, 3, 25)),
+        (["groupage", "validate --n 1321122 --p 7e-9 --k 1 --cycles 100 --seeds 0,2,3,25"], 130 * MiB),
+    ],
+    # m = 1321122 at k = 1 is the largest run validate admits; an oracle off by
+    # more than 1e-9 makes it exit 2, and a pmf over all m + 1 counts would trace
+    # about 50 MiB: 2.57 MiB for the oracle, 102.8 MiB for validate
+    "widest-validate-under-budget": [
+        (["convolution_oracle", [1321122, 0.5, 1]], 8 * MiB),
+        (["groupage", "validate --n 1321122 --p 0.5 --k 1 --cycles 50 --seeds 0"], cli.MEMORY_BUDGET_BYTES),
+    ],
+}
+
+
+@pytest.mark.parametrize("checks", COLD_MEMORY_STEPS.values(), ids=COLD_MEMORY_STEPS)
+def test_largest_runs_trace_under_their_bounds_in_a_fresh_interpreter(checks):
+    records = cold_traced([call for call, _ in checks])
+    for (call, bound), (peak, code, out) in zip(checks, records, strict=True):
+        assert peak < bound, (call, peak / MiB)
+        if call[0] == "groupage":
+            assert code == cli.EXIT_OK, (call, out)
+            assert any(line.startswith("PASS: closed-form vs convolution-oracle") for line in out.splitlines()), out
+
+
+def test_workflow_runs_tier1_in_both_jobs_and_traces_nothing_itself():
+    # read as text, since CI installs no YAML parser; every traced bound lives in Tier-1
+    (command,) = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    jobs = re.split(r"^  (?=[\w-]+:$)", workflow.split("\njobs:\n", 1)[1], flags=re.M)[1:]
+    assert [job.split(":", 1)[0] for job in jobs] == ["tests", "numpy-floor"]
+    for job in jobs:
+        assert f"run: {command}\n" in job
+    assert "tracemalloc" not in workflow

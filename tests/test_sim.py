@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -30,6 +29,7 @@ from oracles import (
     reference_service_times,
     sample_statuses,
 )
+from tracing import traced_peak
 
 # Level of the chi-square checks on the simulator's flag draw. Each runs at
 # a fixed seed, so each passes or fails for good; at this level a correct
@@ -786,22 +786,8 @@ def test_runs_at_the_int32_group_bound_are_exact(m, share):
 
 def test_streaming_peak_memory_is_one_chunk():
     cfg = validate_config(1200, 0.01, 24)
-    tracemalloc.start()
-    try:
-        simulate_age(cfg, 12_800, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(simulate_age, cfg, 12_800, 0)
     assert peak < 64 * 2**20
-
-
-def traced_peak(function, *args) -> int:
-    tracemalloc.start()
-    try:
-        function(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_widest_group_run_keeps_nothing_k_long():
@@ -810,15 +796,16 @@ def test_widest_group_run_keeps_nothing_k_long():
     cfg = validate_config(1_664_509, 0.5, 1_664_509)
     summary = simulate_age(cfg, 2, 0)
     assert summary.interval_sums.shape == (3, 1)
-    assert traced_peak(simulate_age, cfg, 2, 0) < 4 * 2**20
+    assert traced_peak(simulate_age, cfg, 2, 0)[1] < 4 * 2**20
+
 
 def test_peak_memory_does_not_grow_with_the_cycle_count():
     # about one cycle in 10^5 is flagged at this p, so a run is mostly its
     # uniform draws, in chunks of CHUNK_DRAWS cycles; nothing may be kept per cycle
     cfg = validate_config(1, 1e-5, 1)
     assert draws_uniforms(cfg, 2 * sim.CHUNK_DRAWS) and cfg.p > 0.0
-    two_chunks = traced_peak(simulate_age, cfg, 2 * sim.CHUNK_DRAWS, 0)
-    long_run = traced_peak(simulate_age, cfg, 1_000_000, 0)
+    two_chunks = traced_peak(simulate_age, cfg, 2 * sim.CHUNK_DRAWS, 0)[1]
+    long_run = traced_peak(simulate_age, cfg, 1_000_000, 0)[1]
     assert long_run <= two_chunks + 2**20
     assert long_run < 8 * 2**20
 
@@ -828,7 +815,7 @@ def test_near_all_clear_run_memory_follows_its_flags():
     # need no per-cycle array; one bool a cycle would take 954 MiB
     cfg = validate_config(1, 1e-12, 1)
     assert not draws_uniforms(cfg, 10**9)
-    assert traced_peak(simulate_age, cfg, 10**9, 0) < 2**20
+    assert traced_peak(simulate_age, cfg, 10**9, 0)[1] < 2**20
 
 
 def test_slot_run_memory_does_not_grow_with_its_flagged_cycles():
@@ -842,7 +829,7 @@ def test_slot_run_memory_does_not_grow_with_its_flagged_cycles():
     one = next(seed for seed, count in flagged_cycles.items() if count == 1)
     many = max(flagged_cycles, key=flagged_cycles.get)
     assert flagged_cycles[many] >= 4
-    assert traced_peak(simulate_age, cfg, 100, many) <= traced_peak(simulate_age, cfg, 100, one) + 2**16
+    assert traced_peak(simulate_age, cfg, 100, many)[1] <= traced_peak(simulate_age, cfg, 100, one)[1] + 2**16
 
 
 @st.composite
