@@ -36,19 +36,20 @@ It sums C, C^2 and C*F in int32 while no such sum can reach 2^31 (m <= 1290
 at the chunk size) and in int64 otherwise; the sums of Y follow by exact
 int64 algebra. An interval between two all-clear cycles has C = 0 and F = 0
 in every group, so the fold only counts it, and its work follows the
-intervals that touch a flagged cycle. Where few rows can be busy, the fold
-takes a chunk's flagged slots as flat positions cycle*m + group and builds
-only the rows r-1, r and r+1 around each flagged row r, merged from those
-three sorted runs by one stable sort. It folds every block as consecutive
-rows: a built row whose chunk row before it was left out is all clear, and
-so is the built row before it, so it folds to C = F = 0 either way.
+intervals that touch a flagged cycle. Both samplers feed it (cycles, block)
+chunks, block holding the flags of the chunk's first cycles, at least
+through the cycle after its last flagged one. Where few rows can be busy,
+the fold keeps only the rows r-1, r and r+1 of each flagged row r, by one
+row mask over the block. It folds every block as consecutive rows: a kept
+row whose chunk row before it was left out is all clear, and so is the kept
+row before it, so it folds to C = F = 0 either way.
 
 A run that expects fewer than SLOT_SAMPLER_FLAGS (one) flagged group-cycle,
 N*m*qbar < 1, p = 0 included, draws no uniform per slot: it draws only its
 flagged slots, by geometric gaps over the N*m slots in (cycle, group) order,
-and feeds their positions to the fold as it draws them, in stretches that
-each start at a flagged cycle and hold only its flags, so that no block of
-the fold holds more than two rows of m groups, that cycle's and the next.
+and feeds them to the fold as it draws them, in stretches that each start
+at a flagged cycle and hold only its flags, so that no block of the fold
+holds more than two rows of m groups, that cycle's and the next.
 Its work is O((1 + flags)*m), and its memory does not grow with its flags.
 Its flags have the law of the uniform draw but come from a stream of their
 own; every run with N*m*qbar >= 1 draws the uniforms.
@@ -78,12 +79,12 @@ __all__ = ["AgeSummary", "empirical_moments", "simulate_age"]
 # max(1, CHUNK_DRAWS // m) cycles. Larger chunks measured no faster.
 CHUNK_DRAWS = 2**18
 # _fold gathers a chunk's busy rows when at most this share of its rows can be busy, and
-# otherwise takes the whole chunk. Measured on 2 vCPUs (numpy 2.4), the two cost the same at
-# a bound of about 0.6 to 0.7 of the rows at m = 2, 0.7 at m = 30, 0.75 at m = 50 and 1.2 to
-# 1.3 at m = 200, where the blocks of either side that reach _WINDOW_SLOTS take window sums
-# (0.7, 0.8 to 0.85, 0.95 to 1.0 and 1.2 to 1.3 with the flat count alone). Per op the choice
-# is within noise: the simulator time of the benchmark's validate ops (workload seed 1) was
-# 0.131 s at 0.35, 0.141 s at 0.5 and 0.135 s at 0.65, medians of 10 alternating rounds.
+# otherwise takes the whole chunk. Measured on one full chunk on 2 vCPUs (numpy 2.4), the two
+# cost the same at a bound of about 0.75 to 0.85 of the rows at m = 1, 0.85 to 0.9 at m = 30
+# and 1.5 to 1.6 at m = 200, where the blocks of either side that reach _WINDOW_SLOTS take
+# window sums (0.8 to 0.9 at m = 1 and 1.15 at m = 30 with the flat count alone). Per op the
+# choice is within noise: the simulator time of the benchmark's validate ops (workload seed 1)
+# was 0.089 s at 0.35, 0.5 and 0.65 alike, medians of 10 alternating rounds.
 _GATHER_SHARE = 0.35
 # _fold_block counts a block's intervals by int8 window sums when m < _WINDOW_GROUPS, so that
 # no window, at most m flags, wraps, and the block holds at least _WINDOW_SLOTS slots, and by
@@ -122,8 +123,8 @@ def _cycles_per_chunk(config: SystemConfig) -> int:
     return max(1, CHUNK_DRAWS // config.m)
 
 
-def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[np.ndarray]:
-    """Group flags of num_cycles seeded cycles, (cycles, m) per chunk of up to _cycles_per_chunk cycles.
+def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(cycles, flags) chunks of num_cycles seeded cycles' (cycles, m) group flags, up to _cycles_per_chunk cycles each.
 
     A group is flagged when its one uniform draw is below qbar, the chance
     that some of its k sources is positive. The draws are taken in (cycle,
@@ -134,11 +135,12 @@ def _flag_chunks(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[n
     rng = np.random.default_rng(seed)
     chunk_cycles = _cycles_per_chunk(config)
     for start in range(0, num_cycles, chunk_cycles):
-        yield rng.random((min(chunk_cycles, num_cycles - start), config.m)) < config.qbar
+        cycles = min(chunk_cycles, num_cycles - start)
+        yield cycles, rng.random((cycles, config.m)) < config.qbar
 
 
 def _flagged_slot_stretches(config: SystemConfig, seed: int, num_cycles: int) -> Iterator[tuple[int, np.ndarray]]:
-    """A seeded run's flagged slots, drawn by geometric gaps, as (cycles, positions) stretches.
+    """A seeded run's flagged slots, drawn by geometric gaps, as (cycles, block) stretches.
 
     As in _flag_chunks, each of the N*m slots, in (cycle, group) order, is
     flagged with probability qbar independently of the others, so the gap
@@ -148,11 +150,17 @@ def _flagged_slot_stretches(config: SystemConfig, seed: int, num_cycles: int) ->
     exponential per flag and one more, so its work follows the flags; its
     stream is not _flag_chunks'. At p = 0 it draws nothing. A stretch ends
     where a gap lands in a new cycle: the first starts at cycle 0, and each
-    later one at a flagged cycle, whose flags are its only ones. positions
-    holds a stretch's flagged slots as sorted flat indices cycle*m + group,
-    cycles counted from its first.
+    later one at a flagged cycle, whose flags are its only ones. block holds
+    a stretch's first min(2, cycles) cycles, that flagged cycle and the all
+    clear one after it, or no row for a flagless first stretch.
     """
-    m, start, positions = config.m, 0, []
+    m, start, flagged = config.m, 0, []  # flagged: the stretch's flagged groups, all in its first cycle
+
+    def stretch(end: int) -> tuple[int, np.ndarray]:
+        block = np.zeros((min(2, end - start) if flagged else 0, m), dtype=bool)
+        block.reshape(-1)[flagged] = True
+        return end - start, block
+
     if config.qbar > 0.0:
         rng = np.random.default_rng(seed)
         rate = -math.log1p(-config.qbar)
@@ -160,10 +168,10 @@ def _flagged_slot_stretches(config: SystemConfig, seed: int, num_cycles: int) ->
         while (gap := rng.standard_exponential() / rate) < last - position:
             position += math.floor(gap) + 1
             if (cycle := position // m) > start:
-                yield cycle - start, np.array(positions, dtype=np.int64)
-                start, positions = cycle, []
-            positions.append(position - start * m)
-    yield num_cycles - start, np.array(positions, dtype=np.int64)
+                yield stretch(cycle)
+                start, flagged = cycle, []
+            flagged.append(position - start * m)
+    yield stretch(num_cycles)
 
 
 def _add_exact_sums(totals: list[int], deviations: np.ndarray) -> None:
@@ -295,66 +303,37 @@ def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.n
     return length_counts, deviations
 
 
-def _gather(m: int, cycles: int, positions: np.ndarray, tail_flagged: bool) -> tuple[np.ndarray, int, int]:
-    """A chunk's (block, first, last), from the sorted flat positions cycle*m + group of its flagged slots.
-
-    Row c is busy when cycle c or c-1 is flagged, cycle -1 being the previous
-    chunk's last (flagged when tail_flagged). The block holds, in order, the
-    (rows, m) flags of the chunk rows r-1, r and r+1 of each flagged row r,
-    and row 0 when the tail is flagged: the busy rows and the row before
-    each. first and last are the chunk rows where it starts and ends. A
-    block row that is not busy is the row r-1 before a flagged row r: it is
-    all clear, and so is the block row before it, or the previous chunk's
-    last row when it starts the block, so it folds to C = F = 0 as the chunk
-    row before it would give. The runs r-1, r and r+1 over the sorted slots
-    are each sorted, so one stable sort of them, timsort on int64, is a
-    linear merge. Duplicates and rows outside the chunk are then dropped,
-    and each slot finds its row by binary search. The work and memory
-    follow the flags, not the chunk's cycles.
-    """
-    slot_rows = positions // m
-    runs = [slot_rows - 1, slot_rows, slot_rows + 1]
-    if tail_flagged:
-        runs.append(np.zeros(1, dtype=np.int64))
-    near = np.concatenate(runs)
-    near.sort(kind="stable")
-    low, high = np.searchsorted(near, (0, cycles))
-    near = near[low:high]  # row -1 lies before the chunk, and row `cycles` after it
-    rows = near[np.concatenate(([True], near[1:] != near[:-1]))]
-    block = np.zeros((len(rows), m), dtype=bool)
-    block[np.searchsorted(rows, slot_rows), positions - slot_rows * m] = True
-    return block, int(rows[0]), int(rows[-1])
-
-
-def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | tuple[int, np.ndarray]]) -> tuple:
+def _fold(config: SystemConfig, chunks: Iterable[tuple[int, np.ndarray]]) -> tuple:
     """Exact integer sums of a run's intervals, from its group flags fed in cycle order.
 
-    Each chunk is a (cycles, m) bool array of flags or a (cycles, positions)
-    tuple, positions being its flagged slots' sorted flat indices cycle*m +
-    group. Over the N-1 complete intervals it keeps per-group sums of C,
-    C^2, C*F and F, with Y = m + k*C, and turns them into sums of Y, Y^2 and
-    Y*F once, at the end; it counts all N cycles by their flag total F. The
-    standard error needs each interval's pooled sums over all n sources of Y
-    and of the double area. The fold keeps neither: it takes their
-    deviations u and v from a quiet row's k*m^2 and k*m^2*(m + 2), with
-    0 <= u <= v since every Y >= m, and adds up as Python ints sum u, sum v,
-    the sums of uu, uv and vv, and the lag-1 sums of u_i*u_(i+1),
-    u_i*v_(i+1), v_i*u_(i+1) and v_i*v_(i+1). It also keeps (u, v) of the
-    run's first and last intervals. Its memory is one chunk's, whatever the
-    number of cycles.
+    Each chunk is a pair (cycles, block): block is a (rows, m) bool array of
+    the flags of the chunk's first cycles, enough that every row past it is
+    quiet: through the cycle after its last flagged one, or at least cycle 0
+    after a flagged previous cycle. Over the N-1 complete intervals it keeps
+    per-group sums of C, C^2, C*F and F, with Y = m + k*C, and turns them
+    into sums of Y, Y^2 and Y*F once, at the end; it counts all N cycles by
+    their flag total F. The standard error needs each interval's pooled sums
+    over all n sources of Y and of the double area. The fold keeps neither:
+    it takes their deviations u and v from a quiet row's k*m^2 and
+    k*m^2*(m + 2), with 0 <= u <= v since every Y >= m, and adds up as
+    Python ints sum u, sum v, the sums of uu, uv and vv, and the lag-1 sums
+    of u_i*u_(i+1), u_i*v_(i+1), v_i*u_(i+1) and v_i*v_(i+1). It also keeps
+    (u, v) of the run's first and last intervals. Its memory is one chunk's,
+    whatever the number of cycles.
 
     Row c of a chunk is the interval that cycle c closes. When cycles c-1
     and c are both all clear, the row is quiet: it has C = F = 0 in every
-    group and u = v = 0, and is only counted. _fold_block folds each chunk
-    as one block of consecutive rows: the whole chunk, or, for a tuple and
-    for a flag array in which few rows can be busy, the _gather of its
-    flagged slots' positions. A gathered block leaves out only quiet rows,
-    and a row it holds after a left-out one folds as the quiet row it is, so
-    the lag products are taken from row to row of the block, and across
-    chunks from the last chunk's last row to the block's first folded row.
-    Across chunks it carries, per group, the flagged groups at or after it
-    in the chunk's last cycle, whose first entry is that cycle's flag total,
-    and (u, v) of the chunk's last row.
+    group and u = v = 0, and is only counted, as are the rows past block.
+    _fold_block folds each chunk as one block of consecutive rows: the whole
+    block or, where few rows can be busy, the busy rows (each flagged row,
+    the row after it, and row 0 after a flagged previous cycle) and the row
+    before each, kept by one row mask. A row so kept after a left-out one is
+    all clear after an all-clear row and folds as the quiet row it is, so the
+    lag products are taken from row to row of the block, and across chunks
+    from the last chunk's last row to the block's first folded row. Across
+    chunks it carries, per group, the flagged groups at or after it in the
+    chunk's last cycle, whose first entry is that cycle's flag total, and
+    (u, v) of the chunk's last row.
     """
     m, k = config.m, config.k
     sums = np.zeros((4, m), dtype=np.int64)  # per group: sum C, sum C^2, sum C*F, sum F
@@ -363,21 +342,21 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | tuple[int, np
     opening = tail = (0, 0)  # (u, v) of the run's first interval and of the last chunk's last row
     carry = np.zeros(m, dtype=np.int32)  # flags at or after each group in the last cycle; none before cycle 0
     end = 0
-    for chunk in flag_chunks:
-        if isinstance(chunk, tuple):
-            cycles, positions = chunk
-        else:  # a flag array has at most 2*hits + 1 busy rows, the 1 when the last cycle was flagged
-            cycles = len(chunk)
-            gather = 2 * np.count_nonzero(chunk) + (carry[0] > 0) < _GATHER_SHARE * cycles
-            positions = np.flatnonzero(chunk) if gather else None
+    for cycles, block in chunks:
         start, end = end, end + cycles
-        if positions is None:
-            block, first, last = chunk, 0, cycles - 1
-        elif not len(positions) and not carry[0]:  # no flag here or in the cycle before: all rows quiet
+        hits = np.count_nonzero(block)
+        if not hits and not carry[0]:  # no flag here or in the cycle before: all rows quiet
             tail = (0, 0)
             continue
-        else:
-            block, first, last = _gather(m, cycles, positions, carry[0] > 0)
+        first, last = 0, len(block) - 1
+        if 2 * hits + (carry[0] > 0) < _GATHER_SHARE * cycles:  # at most 2*hits + 1 busy rows
+            busy = np.zeros(len(block) + 1, dtype=bool)  # row r is busy when r or r-1 is flagged
+            flagged = np.flatnonzero(block) // m
+            busy[flagged] = busy[flagged + 1] = True
+            busy[0] |= carry[0] > 0  # row -1 is the previous chunk's last
+            kept = np.flatnonzero(busy[:-1] | busy[1:])  # the busy rows and the row before each
+            first, last = int(kept[0]), int(kept[-1])
+            block = block[kept] if len(kept) < len(block) else block  # a copy only when rows are left out
         first_row = 1 if start + first == 0 else 0  # cycle 0 closes no interval
         counts, deviations = _fold_block(block, first_row, carry, sums, k)
         length_counts[: len(counts)] += counts
@@ -402,9 +381,9 @@ def _fold(config: SystemConfig, flag_chunks: Iterable[np.ndarray | tuple[int, np
     return interval_sums, length_counts, intervals, deviation_sums, opening, tail
 
 
-def _estimate(config: SystemConfig, flag_chunks: Iterable[np.ndarray | tuple[int, np.ndarray]]) -> AgeSummary:
+def _estimate(config: SystemConfig, chunks: Iterable[tuple[int, np.ndarray]]) -> AgeSummary:
     """Renewal-reward age estimate from a run's group flags, fed in cycle order."""
-    sums, flag_counts, *standard_error_sums = _fold(config, flag_chunks)
+    sums, flag_counts, *standard_error_sums = _fold(config, chunks)
     interval_sum, interval_sq_sum, interval_flag_sum = sums
     # each group's mean over its sources j = 1..k of (sum Y^2/2 + sum Y + j*sum Y*F) / sum Y
     group_age = (0.5 * interval_sq_sum + interval_sum + 0.5 * (config.k + 1) * interval_flag_sum) / interval_sum
@@ -489,10 +468,11 @@ def simulate_age(config: SystemConfig, num_cycles: int, seed: int) -> AgeSummary
     max(1, CHUNK_DRAWS // m) cycles, and nothing is kept per cycle, so memory
     is one chunk's whatever num_cycles is. A run expecting fewer than one
     flagged group-cycle, N*m*qbar < SLOT_SAMPLER_FLAGS, draws only its
-    flagged slots instead, from a stream of its own, and folds them one
-    flagged cycle a stretch, by _flagged_slot_stretches. The
-    random stream consumed and the estimates, to the last bit, do not depend
-    on the chunk size. A run whose int64 sums could overflow is refused.
+    flagged slots instead, from a stream of its own, by
+    _flagged_slot_stretches, one flagged cycle a stretch. Either feed gives
+    _estimate (cycles, block) pairs. The random stream consumed and the
+    estimates, to the last bit, do not depend on the chunk size. A run whose
+    int64 sums could overflow is refused.
     """
     if num_cycles < 2:
         raise ValueError("age estimation requires at least 2 cycles")

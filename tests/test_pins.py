@@ -142,3 +142,9 @@ def test_workflow_runs_tier1_in_both_jobs_and_traces_nothing_itself():
     for job in jobs:
         assert f"run: {command}\n" in job
     assert "tracemalloc" not in workflow
+
+
+def test_a_cold_step_past_its_timeout_fails_instead_of_hanging():
+    # no fresh interpreter imports numpy in a millisecond, so the child is killed and the check fails
+    with pytest.raises(AssertionError, match="no records after 0.001 s; stderr: "):
+        cold_traced([["simulate_age", [4, 0.5, 2, 10, 0]]], timeout=0.001)

@@ -59,10 +59,15 @@ def simulate_age_in_chunks(cfg, num_cycles, seed, chunk):
         return simulate_age(cfg, num_cycles, seed)
 
 
+def chunks_of(flags, chunk):
+    """An (N, m) flag trace as _flag_chunks feeds it, (cycles, flags) chunks of `chunk` cycles."""
+    parts = (flags[start : start + chunk] for start in range(0, len(flags), chunk))
+    return [(len(part), part) for part in parts]
+
+
 def estimate_in_chunks(cfg, flags, chunk):
     """sim._estimate of an (N, m) flag trace fed in chunks of `chunk` cycles, or as one chunk for None."""
-    chunk = chunk or len(flags)
-    return sim._estimate(cfg, (flags[start : start + chunk] for start in range(0, len(flags), chunk)))
+    return sim._estimate(cfg, chunks_of(flags, chunk or len(flags)))
 
 
 def check_reference(summary, reference, *context):
@@ -75,7 +80,7 @@ def check_reference(summary, reference, *context):
 
 def simulated_flags(cfg, num_cycles, seed):
     """The simulator's (N, m) group flags of a seeded run, its chunks joined."""
-    return np.concatenate(list(sim._flag_chunks(cfg, seed, num_cycles)))
+    return np.concatenate([flags for _, flags in sim._flag_chunks(cfg, seed, num_cycles)])
 
 
 def draws_uniforms(cfg, num_cycles) -> bool:
@@ -327,7 +332,7 @@ def check_hand_built_runs(n, k):
     for name, flags in hand_built_flag_runs(cfg.m, num_cycles):
         reference = per_source_age_estimate(1 + j * flags[:, :, None].astype(np.int64))
         for chunk in (1, 2, 3, num_cycles):
-            chunks = [flags[start : start + chunk] for start in range(0, num_cycles, chunk)]
+            chunks = chunks_of(flags, chunk)
             with mock.patch.object(sim, "_flag_chunks", lambda *args: iter(chunks)):
                 summary = simulate_age(cfg, num_cycles, seed=0)
             check_reference(summary, reference, name, chunk)
@@ -504,15 +509,15 @@ def test_slot_sampler_flag_totals_follow_the_binomial_law(n, p, k, cycles):
 
 
 def slot_sampler_draws(cfg, cycles) -> list[np.ndarray]:
-    """Each seeded run's flagged slot positions, start*m + positions over its stretches from cycle start = 0 on.
+    """Each seeded run's flagged slot positions, start*m + np.flatnonzero(block) over its stretches from cycle 0 on.
 
     They are checked to increase strictly and to lie among the run's N*m slots.
     """
     runs = []
     for seed in SLOT_LAW_SEEDS:
         start, flat = 0, []
-        for count, positions in sim._flagged_slot_stretches(cfg, seed, cycles):
-            flat.append(start * cfg.m + positions)
+        for count, block in sim._flagged_slot_stretches(cfg, seed, cycles):
+            flat.append(start * cfg.m + np.flatnonzero(block))
             start += count
         runs.append(np.concatenate(flat))
     for positions in runs:
@@ -551,26 +556,36 @@ def test_flagged_slot_gaps_follow_the_geometric_law(n, p, k, cycles):
 @pytest.mark.parametrize("n, p, k, cycles", SLOT_LAW_RUNS)
 def test_slot_sampler_stretches_hold_one_flagged_cycle_each(n, p, k, cycles):
     # the stretches cover the run's N cycles from cycle 0 on, and every one after
-    # the first starts at a flagged cycle, whose flags are its only ones
+    # the first starts at a flagged cycle, whose flags are its only ones; its block
+    # holds that cycle and the next, and a flagless first stretch's holds no row
     cfg = validate_config(n, p, k)
     for seed in SLOT_LAW_SEEDS:
         stretches = list(sim._flagged_slot_stretches(cfg, seed, cycles))
         assert sum(count for count, _ in stretches) == cycles
-        for index, (count, positions) in enumerate(stretches):
-            assert count >= 1 and positions.dtype == np.int64
-            assert ((positions >= 0) & (positions < cfg.m)).all()  # no flag after the stretch's first cycle
+        for index, (count, block) in enumerate(stretches):
+            positions = np.flatnonzero(block)
+            assert count >= 1 and block.dtype == bool
+            assert block.shape == (min(2, count) if len(positions) else 0, cfg.m)
+            assert (positions < cfg.m).all()  # no flag after the stretch's first cycle
             assert index == 0 or len(positions)
     slot_sampler_draws(cfg, cycles)  # laid end to end from cycle 0, they increase strictly within [0, N*m)
 
 
-def estimate_from_positions(cfg, flags, cuts):
-    """sim._estimate of an (N, m) flag trace fed as (cycles, positions) stretches, cut before each cycle of cuts.
+def estimate_from_stretches(cfg, flags, cuts):
+    """sim._estimate of an (N, m) flag trace fed as (cycles, block) stretches, cut before each cycle of cuts.
 
-    positions holds a stretch's flagged slots as flat indices cycle*m + group,
-    cycles counted from the stretch's first.
+    A stretch's block holds its first cycles only through its last busy row,
+    a row r being busy when cycle r or r-1 is flagged, and no row when it has
+    none: as in _flagged_slot_stretches, every row past a block is quiet.
     """
     bounds = sorted({0, *cuts, len(flags)})
-    return sim._estimate(cfg, [(end - start, np.flatnonzero(flags[start:end])) for start, end in zip(bounds, bounds[1:])])
+    busy = flags.any(axis=1)
+    busy[1:] = busy[1:] | busy[:-1]
+    stretches = []
+    for start, end in zip(bounds, bounds[1:]):
+        rows = np.flatnonzero(busy[start:end])
+        stretches.append((end - start, flags[start:end][: rows[-1] + 1 if len(rows) else 0]))
+    return sim._estimate(cfg, stretches)
 
 
 @st.composite
@@ -602,16 +617,18 @@ def flags_at(num_cycles, m, *slots) -> np.ndarray:
 # back-to-back flagged cycles 2 and 3, and a flagged last cycle; then cycle 0 flagged
 @example((validate_config(6, 0.5, 2), flags_at(8, 3, (2, 0), (2, 2), (3, 1), (7, 0)), 3))
 @example((validate_config(3, 0.5, 1), flags_at(5, 3, (0, 1), (1, 0), (4, 2)), 2))
-def test_fold_fed_positions_equals_whole_chunk_fold_and_reference(run):
+def test_fold_fed_stretch_blocks_equals_whole_chunk_fold_and_reference(run):
+    # share 0 folds every block whole; share inf gathers the busy rows of every block
     cfg, flags, chunk = run
     j = np.arange(1, cfg.k + 1)
     reference = per_source_age_estimate(1 + j * flags[:, :, None].astype(np.int64))
-    with mock.patch.object(sim, "_GATHER_SHARE", 0.0):
-        whole = estimate_in_chunks(cfg, flags, None)
     cuts = (range(chunk, len(flags), chunk), [], np.flatnonzero(flags.any(axis=1)).tolist())
-    for summary in (whole, *(estimate_from_positions(cfg, flags, at) for at in cuts)):
-        check_reference(summary, reference)
-        assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
+    for share in (0.0, math.inf):
+        with mock.patch.object(sim, "_GATHER_SHARE", share):
+            whole = estimate_in_chunks(cfg, flags, None)
+            for summary in (whole, *(estimate_from_stretches(cfg, flags, at) for at in cuts)):
+                check_reference(summary, reference, share)
+                assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
 
 
 @st.composite
@@ -622,7 +639,7 @@ def gather_chunks(draw):
     rows = draw(st.lists(st.sampled_from([0, min(1, cycles - 1), cycles - 1]) | st.integers(0, cycles - 1), max_size=8))
     groups = draw(st.lists(st.integers(0, m - 1), min_size=len(rows), max_size=len(rows)))
     positions = np.unique(np.array(rows, dtype=np.int64) * m + np.array(groups, dtype=np.int64))
-    tail_flagged = draw(st.booleans()) or not len(positions)  # _fold gathers no chunk without either
+    tail_flagged = draw(st.booleans()) or not len(positions)  # _fold skips a chunk with neither
     return m, cycles, positions, tail_flagged
 
 
@@ -643,26 +660,43 @@ def dense_gather_chunks(draw):
 
 
 @settings(deadline=None, max_examples=200)
-@given(gather_chunks() | dense_gather_chunks())
-def test_gather_keeps_the_busy_rows_and_only_all_clear_rows_besides(case):
+@given(gather_chunks() | dense_gather_chunks(), st.sampled_from([1, 2, 3]), st.booleans())
+def test_gathered_chunk_folds_as_the_whole_chunk_and_the_reference(case, k, flagged_after):
+    # the chunk follows a two-cycle chunk whose last cycle is flagged when tail_flagged, and
+    # precedes a one-cycle chunk, flagged when flagged_after; share 0 folds every chunk whole,
+    # share inf gathers the busy rows of every chunk
     m, cycles, positions, tail_flagged = case
-    block, first, last = sim._gather(m, cycles, positions, tail_flagged)
-    flags = np.zeros(cycles * m, dtype=bool)
-    flags[positions] = True
-    flags = flags.reshape(cycles, m)
-    flagged = np.unique(positions // m)
-    candidates = np.concatenate((flagged - 1, flagged, flagged + 1, np.zeros(int(tail_flagged), dtype=np.int64)))
-    rows = np.unique(candidates[(candidates >= 0) & (candidates < cycles)])
-    assert np.array_equal(block, flags[rows])
-    assert (first, last) == (rows[0], rows[-1])
-    busy = flags.any(axis=1) | np.concatenate(([tail_flagged], flags[:-1].any(axis=1)))
-    assert set(np.flatnonzero(busy)) <= set(rows.tolist())
-    for i, row in enumerate(rows):
-        if busy[row]:  # folded after the chunk row before it, or after the previous chunk's last
-            assert rows[i - 1] == row - 1 if row else i == 0
-        else:  # all clear after an all-clear row, so it folds to C = F = 0 as a quiet row
-            assert not block[i].any()
-            assert not block[i - 1].any() if i else not tail_flagged
+    cfg = validate_config(m * k, 0.5, k)
+    chunk = np.zeros(cycles * m, dtype=bool)
+    chunk[positions] = True
+    chunk = chunk.reshape(cycles, m)
+    before = np.array([[True] + [False] * (m - 1), [False] * (m - 1) + [tail_flagged]])
+    flags = np.concatenate((before, chunk, np.full((1, m), flagged_after)))
+    j = np.arange(1, k + 1)
+    reference = per_source_age_estimate(1 + j * flags[:, :, None].astype(np.int64))
+    for share in (0.0, math.inf):
+        with mock.patch.object(sim, "_GATHER_SHARE", share):
+            with mock.patch.object(sim, "_fold_block", wraps=sim._fold_block) as fold_block:
+                summary = sim._estimate(cfg, [(2, before), (cycles, chunk), (1, flags[-1:])])
+        check_reference(summary, reference, share)
+        assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
+        block = fold_block.call_args_list[1].args[0]  # the first chunk is flagged, so it is folded too
+        if share == 0.0:
+            assert block is chunk
+            continue
+        # the gathered rows: the rows r-1, r and r+1 of each flagged row r, and row 0 after a flagged tail
+        flagged = np.unique(positions // m)
+        candidates = np.concatenate((flagged - 1, flagged, flagged + 1, np.zeros(int(tail_flagged), dtype=np.int64)))
+        rows = np.unique(candidates[(candidates >= 0) & (candidates < cycles)])
+        assert np.array_equal(block, chunk[rows])
+        busy = chunk.any(axis=1) | np.concatenate(([tail_flagged], chunk[:-1].any(axis=1)))
+        assert set(np.flatnonzero(busy)) <= set(rows.tolist())
+        for i, row in enumerate(rows):
+            if busy[row]:  # folded after the chunk row before it, or after the previous chunk's last
+                assert rows[i - 1] == row - 1 if row else i == 0
+            else:  # all clear after an all-clear row, so it folds to C = F = 0 as a quiet row
+                assert not block[i].any()
+                assert not block[i - 1].any() if i else not tail_flagged
 
 
 # The widest group count whose dense blocks fold in int32: m^3 < 2^31 <= (m + 1)^3.
@@ -824,7 +858,7 @@ def test_slot_run_memory_does_not_grow_with_its_flagged_cycles():
     cfg = validate_config(50_000, 1.8e-7, 1)
     assert not draws_uniforms(cfg, 100)
     flagged_cycles = {
-        seed: sum(len(positions) > 0 for _, positions in sim._flagged_slot_stretches(cfg, seed, 100)) for seed in range(60)
+        seed: sum(block.any() for _, block in sim._flagged_slot_stretches(cfg, seed, 100)) for seed in range(60)
     }
     one = next(seed for seed, count in flagged_cycles.items() if count == 1)
     many = max(flagged_cycles, key=flagged_cycles.get)
@@ -971,6 +1005,29 @@ PINNED_RUNS = {
             "cc671785a4fda83ac2cb0f54be41050a",
             "a077249ea8f0608c3cb9a02749a80058",
             "0x1.0402d3183e17cp+1",
+        ),
+    ),
+    # three chunks of one group, each with about 2600 flags, so 2*hits < _GATHER_SHARE*cycles and
+    # every chunk is gathered; seed 185, the first of seeds 0-399 whose first chunk's last cycle is
+    # flagged, so the second chunk gathers its row 0 after a flagged tail
+    "gathered m = 1": (
+        (1, 0.01, 1, 3 * sim.CHUNK_DRAWS, 185),
+        (
+            "0x1.d297cb4c3ec6dp-13",
+            "0777f6f6af8898532a9b4bfac3a54f5d",
+            "e60ae7a5651737358a77916386e8abb7",
+            "0x1.851c5ec8803e9p+0",
+        ),
+    ),
+    # N*m*qbar is about 0.96, so the run draws only its flagged slots; seed 23, the first of seeds
+    # 0-2999 with a one-cycle stretch between two others, flags cycles 1, 4 and 5, so cycle 4 is one
+    "slot-drawn back to back": (
+        (60, 1.6e-3, 2, 10, 23),
+        (
+            "0x1.2201891818410p-3",
+            "2a9b07d5d9223c62f21e01795185b89e",
+            "02c268a8d996a7539c6edd8b75092768",
+            "0x1.05d37a6f4de9bp+4",
         ),
     ),
 }

@@ -36,10 +36,19 @@ def traced_peak(function, *args):
         tracemalloc.stop()
 
 
-def cold_traced(calls: list) -> list:
-    """Run calls, each [name, args], in one fresh interpreter with src/ on its path; their records."""
+def cold_traced(calls: list, timeout: float = 300.0) -> list:
+    """Run calls, each [name, args], in one fresh interpreter with src/ on its path; their records.
+
+    A child that runs past timeout seconds (each step takes a few seconds) is
+    killed, and the check fails with what it wrote to stderr.
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, __file__, json.dumps(calls)], env=env, capture_output=True, text=True)
+    command = [sys.executable, __file__, json.dumps(calls)]
+    try:
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired as hung:  # its stderr so far, in bytes on POSIX
+        stderr = hung.stderr.decode(errors="replace") if isinstance(hung.stderr, bytes) else hung.stderr
+        raise AssertionError(f"no records after {timeout} s; stderr: {stderr}") from None
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
