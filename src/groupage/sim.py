@@ -28,21 +28,27 @@ a run's memory is one chunk's (cycles, m) group arrays, its per-group sums
 and its m + 1 counts of cycles by flag total, whatever N and k are.
 
 A group's interval spans the m group times before the slot that closes it,
-so Y = m + k*C, with C <= m the flagged slots among those m. The fold takes
-every C of a large block at m <= 127 as an int8 window sum of width m over
-the block's flat flags, built from sums over doubling spans, and every C of
-any other block from one exclusive flat count of its flags, m slots apart.
-It sums C, C^2 and C*F in int32 while no such sum can reach 2^31 (m <= 1290
-at the chunk size) and in int64 otherwise; the sums of Y follow by exact
-int64 algebra. An interval between two all-clear cycles has C = 0 and F = 0
-in every group, so the fold only counts it, and its work follows the
-intervals that touch a flagged cycle. Both samplers feed it (cycles, block)
-chunks, block holding the flags of the chunk's first cycles, at least
-through the cycle after its last flagged one. Where few rows can be busy,
-the fold keeps only the rows r-1, r and r+1 of each flagged row r, by one
-row mask over the block. It folds every block as consecutive rows: a kept
-row whose chunk row before it was left out is all clear, and so is the kept
-row before it, so it folds to C = F = 0 either way.
+so Y = m + k*C, with C <= m the flagged slots among those m. A row's C, F
+and pooled sums follow from its m flags and the previous row's, so a block
+of m <= 3 groups (_CENSUS_GROUPS) is folded by a census: each row's flags as
+an m-bit code, one np.bincount of the codes of each three consecutive rows,
+at most 2^(3m) = 512 classes, and per-run tables over the 2^(2m) pairs of
+consecutive rows that turn the census into every sum the fold keeps. In a
+wider block the fold takes every C of a large block at m <= 127 as an int8
+window sum of width m over the block's flat flags, built from sums over
+doubling spans, and every C of any other block from one exclusive flat count
+of its flags, m slots apart. It sums C, C^2 and C*F in int32 while no such
+sum can reach 2^31 (m <= 1290 at the chunk size) and in int64 otherwise; the
+sums of Y follow by exact int64 algebra. An interval between two all-clear
+cycles has C = 0 and F = 0 in every group, so the fold only counts it, and
+its work follows the intervals that touch a flagged cycle. Both samplers
+feed it (cycles, block) chunks, block holding the flags of the chunk's first
+cycles, at least through the cycle after its last flagged one. Where few
+rows can be busy, the fold keeps only the rows r-1, r and r+1 of each
+flagged row r, by one row mask over the block. It folds every block as
+consecutive rows: a kept row whose chunk row before it was left out is all
+clear, and so is the kept row before it, so it folds to C = F = 0 either
+way.
 
 A run that expects fewer than SLOT_SAMPLER_FLAGS (one) flagged group-cycle,
 N*m*qbar < 1, p = 0 included, draws no uniform per slot: it draws only its
@@ -58,15 +64,18 @@ A run is admitted by _check_int64_totals alone, which refuses every m above
 1 321 122 and every n >= 2^21. At the largest admitted shapes a run traces
 about 103 MiB at m = 1 321 122, k = 1, p = 0.5, 1 MiB at m = 1, k = 1 664 509,
 and 118.4 to 119.2 MiB at m = 1 321 122 slot-drawn over 100 cycles, one to four
-of them flagged; tests/test_pins.py holds these under 1 GiB, 8 and 130 MiB.
+of them flagged; tests/test_pins.py holds these under 1 GiB, 8 and 130 MiB, and
+a dense m = 1 run of three whole chunks, 4.0 MiB, under 6 MiB.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from typing import Iterable, Iterator
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -95,6 +104,14 @@ _GATHER_SHARE = 0.35
 # and 0.68 against 1.28 ms at m = 127.
 _WINDOW_GROUPS = 128
 _WINDOW_SLOTS = 2**14
+# _fold folds the blocks of m <= _CENSUS_GROUPS groups by _fold_census, one census of their
+# 2^(3m) lag classes, and wider ones by _fold_block. Measured per block on 2 vCPUs (numpy 2.4),
+# the census folds a whole dense chunk 8 to 14 times faster (1.0 against 13.5 ms at m = 1, 0.71
+# against 5.9 ms at m = 3) and a two-row block in 46 against 105 us at m = 1 and 69 against 100
+# at m = 3, after 50 to 80 us a run for its tables. At m = 4 the tables took 170 to 190 us and a
+# two-row block 110 against 99 us, so small m = 4 runs would be slower, and m = 4 stays on
+# _fold_block although a whole chunk folded 6.6 times faster.
+_CENSUS_GROUPS = 3
 # A run expecting fewer flagged group-cycles than this, N*m*qbar, draws only its flagged slots,
 # by _flagged_slot_stretches. At about 1.5 us a flag, the slot draw measured faster than the
 # uniform draw up to qbar of about 0.003 (m = 1 to 200, 2 vCPUs), but a wider gate would change
@@ -230,8 +247,8 @@ def _window_sums(flags: np.ndarray, m: int) -> np.ndarray:
         width *= 2
 
 
-def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """One block of cycles' group flags: (counts of its cycles by flag total, row deviations), its C sums added to sums.
+def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.ndarray, totals: list[int], k: int) -> tuple:
+    """One block of cycles' group flags: (counts of cycles by flag total, head, tail), its sums added to sums and totals.
 
     Row r's interval in group g spans the m group times before slot (r, g),
     so Y = m + k*C, with C the flags among those m slots. carry holds, per
@@ -244,13 +261,17 @@ def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.n
     slots apart, of one exclusive flat count of its flags that starts at
     -carry. Over its rows from first_row (0 or 1) on, it adds the sums of C,
     C^2, C*F and F per group into the (4, m) int64 sums, sum C telescoping,
-    and returns per row the deviations u and v of the pooled sums over all n
+    and takes per row the deviations u and v of the pooled sums over all n
     sources of Y and of the double area Y^2 + 2*Y*S, which are k*sum Y and
     k*sum (Y^2 + 2Y + (k+1)*Y*F), from a quiet row's k*m^2 and
-    k*m^2*(m + 2). C <= m, so each sum of C, C^2 or C*F is at most m^3 or
-    rows*m^2: the counts and those sums run in int32 while both are below
+    k*m^2*(m + 2); _add_exact_sums adds their nine sums into totals, and
+    head and tail are (u, v) of the first and last of those rows, or None
+    when it folds none. C <= m, so each sum of C, C^2 or C*F is at most m^3
+    or rows*m^2: the counts and those sums run in int32 while both are below
     2^31, and in int64 otherwise. The row deviations follow from them by
-    exact int64 algebra. Its (rows, m) arrays die on return.
+    exact int64 algebra. Its (rows, m) arrays die on return. _fold takes it
+    for m > _CENSUS_GROUPS and _fold_census, which returns the same, for
+    narrower blocks.
     """
     rows, m = block.shape
     narrow = np.int32 if max(m**3, rows * m * m) < 2**31 else np.int64
@@ -300,7 +321,113 @@ def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.n
     np.multiply(row_flags, k * (k + 1) * m, out=u)
     v += u
     np.multiply(row_c, k * k, out=u, dtype=np.int64)
-    return length_counts, deviations
+    if not deviations.shape[1]:  # one row, not folded
+        return length_counts, None, None
+    _add_exact_sums(totals, deviations)
+    return length_counts, tuple(deviations[:, 0].tolist()), tuple(deviations[:, -1].tolist())
+
+
+class _CensusTables(NamedTuple):
+    """What _fold_census reads for each pattern of m <= _CENSUS_GROUPS group flags, for any k.
+
+    A row's code holds group g's flag in bit g; a pair's code is (previous
+    row) << m | row, and a lag class's (previous row) << 2m | row << m |
+    next row. A pair's features phi are its row's sums over the groups of
+    C, C^2, C*F and F: the row's u is k^2*phi[0] and its v a linear form in
+    phi, so products of u and v are sums of phi_i*phi_j, at most m^6.
+    """
+
+    row: np.ndarray  # (2^(2m), 5m + 21) int64, by pair: per-group C, C^2, C*F, F, a one-hot of F, phi, phi_i*phi_j
+    phi: np.ndarray  # (2^m, 2^m, 4) int64: phi by [previous row, row]
+    phi_by_row: np.ndarray  # (4, 4^m) int64: phi_i of pair (a, b) in column b*2^m + a
+    features: list  # phi of each pair, Python ints
+    carries: np.ndarray  # (2^m, m) int32: each row code's flags at or after each group, _fold's carry
+    codes: dict  # a carry, as a tuple, to its row code
+
+
+def _census_tables(m: int) -> _CensusTables:
+    """_fold_census' tables for m groups: O(8^m) small int64 values, built with numpy 1.24's API."""
+    flags = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # (2^m, m): each row code's flags
+    carries = np.cumsum(flags[:, ::-1], axis=1)[:, ::-1]
+    # a pair's C in group g: the previous row's flags at or after g and the row's before g
+    c = (carries[:, None] + (np.cumsum(flags, axis=1) - flags)).reshape(-1, m)
+    f = np.tile(flags, (1 << m, 1))
+    stats = np.concatenate((c, c * c, c * f, f), axis=1)
+    phi = stats.reshape(-1, 4, m).sum(axis=2)
+    squares = (phi[:, :, None] * phi[:, None, :]).reshape(-1, 16)
+    by_pair = phi.reshape(1 << m, 1 << m, 4)
+    return _CensusTables(
+        row=np.concatenate((stats, np.eye(m + 1, dtype=np.int64)[phi[:, 3]], phi, squares), axis=1),
+        phi=by_pair,
+        phi_by_row=np.ascontiguousarray(by_pair.transpose(2, 1, 0).reshape(4, -1)),
+        features=phi.tolist(),
+        carries=carries.astype(np.int32),
+        codes={tuple(carry): code for code, carry in enumerate(carries.tolist())},
+    )
+
+
+def _fold_census(
+    block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.ndarray, totals: list[int], k: int, tables: _CensusTables
+) -> tuple:
+    """_fold_block's fold of a block of m <= _CENSUS_GROUPS groups, by one census of its lag classes.
+
+    A row's C, F and (u, v) follow from its flags and the previous row's,
+    and a lag pair's products from three consecutive rows', so the block is
+    its rows' m-bit codes (the previous block's last row from carry) and one
+    np.bincount of the classes of each three consecutive rows from first_row
+    - 1 on, at most 2^(3m). Summed over the third row, the census counts the
+    folded rows but the last, which opens no lag pair, by pair; with the
+    last added, those counts times tables.row give the sums that _fold_block
+    adds to sums, the counts of cycles by flag total and the sums of phi and
+    phi_i*phi_j over the rows, and two products of the census with the
+    tables' phi give the sums of phi_i*phi'_j over the lag pairs, phi' the
+    next row's. The nine sums follow in Python ints, and so do head and
+    tail, the (u, v) of the first and last folded rows: it returns (counts,
+    head, tail) as _fold_block does.
+    """
+    rows, m = block.shape
+    codes = np.empty(rows + 1, dtype=np.uint16)  # codes[r + 1]: row r's; codes[0]: the previous block's last row's
+    codes[0] = tables.codes[tuple(carry.tolist())]
+    row_codes = codes[1:]
+    row_codes[:] = block[:, 0]
+    for g in range(1, m):
+        row_codes |= block[:, g].view(np.uint8) << g
+    lags = codes[first_row:-2] << 2 * m  # the classes of the lag pairs (r, r + 1) from r = first_row on
+    lags |= codes[first_row + 1 : -1] << m
+    lags |= codes[first_row + 2 :]
+    census = np.bincount(lags, minlength=len(tables.row) << m).reshape(1 << m, 1 << m, 1 << m)
+    pairs = census.sum(axis=2).reshape(-1)
+    previous, final = codes[-2:].tolist()
+    carry[:] = tables.carries[final]
+    if rows > first_row:
+        pairs[previous << m | final] += 1
+    total = pairs @ tables.row
+    if first_row:  # row 0 is counted, not folded
+        total[4 * m + tables.carries[row_codes[0], 0]] += 1
+    sums += total[: 4 * m].reshape(4, m)
+    # a row's u = k^2*phi[0] and v = weights . phi, as in _fold_block; square and lagged hold the
+    # 16 sums of phi_i*phi_j over the rows and of phi_i*phi'_j over the lag pairs, i major, and
+    # lagged sums census * phi(a, b)_i * phi(b, c)_j over the classes (a, b, c), one product for each b
+    k2 = k * k
+    weights = (k2 * (2 * m + 2), k2 * k, k2 * (k + 1), k * (k + 1) * m)
+
+    def v(x):
+        return sum(map(mul, weights, x))
+
+    lagged = tables.phi_by_row @ np.matmul(census.transpose(1, 0, 2), tables.phi).reshape(-1, 4)
+    values, lagged = total[5 * m + 1 :].tolist(), lagged.ravel().tolist()
+    phi, square = values[:4], values[4:]
+    square_v, lagged_v = ([v(q[4 * i : 4 * i + 4]) for i in range(4)] for q in (square, lagged))
+    nine = (k2 * phi[0], v(phi), k2 * k2 * square[0], k2 * square_v[0], v(square_v))
+    nine += (k2 * k2 * lagged[0], k2 * lagged_v[0], k2 * v(lagged[::4]), v(lagged_v))
+    for i, value in enumerate(nine):
+        totals[i] += value
+    head = tail = None
+    if rows > first_row:
+        before, opening = codes[first_row : first_row + 2].tolist()
+        ends = (tables.features[before << m | opening], tables.features[previous << m | final])
+        head, tail = ((k2 * x[0], v(x)) for x in ends)
+    return total[4 * m : 5 * m + 1], head, tail
 
 
 def _fold(config: SystemConfig, chunks: Iterable[tuple[int, np.ndarray]]) -> tuple:
@@ -324,10 +451,13 @@ def _fold(config: SystemConfig, chunks: Iterable[tuple[int, np.ndarray]]) -> tup
     Row c of a chunk is the interval that cycle c closes. When cycles c-1
     and c are both all clear, the row is quiet: it has C = F = 0 in every
     group and u = v = 0, and is only counted, as are the rows past block.
-    _fold_block folds each chunk as one block of consecutive rows: the whole
-    block or, where few rows can be busy, the busy rows (each flagged row,
-    the row after it, and row 0 after a flagged previous cycle) and the row
-    before each, kept by one row mask. A row so kept after a left-out one is
+    Each chunk is folded as one block of consecutive rows, by _fold_census
+    at m <= _CENSUS_GROUPS, with tables built at the run's first folded
+    block, and by _fold_block otherwise; either adds the block's nine sums
+    and returns (u, v) of its first and last folded rows. The block is the
+    whole chunk's or, where few rows can be busy, the busy rows (each
+    flagged row, the row after it, and row 0 after a flagged previous cycle)
+    and the row before each, kept by one row mask. A row so kept after a left-out one is
     all clear after an all-clear row and folds as the quiet row it is, so the
     lag products are taken from row to row of the block, and across chunks
     from the last chunk's last row to the block's first folded row. Across
@@ -341,6 +471,7 @@ def _fold(config: SystemConfig, chunks: Iterable[tuple[int, np.ndarray]]) -> tup
     deviation_sums = [0] * 9  # as _add_exact_sums orders them
     opening = tail = (0, 0)  # (u, v) of the run's first interval and of the last chunk's last row
     carry = np.zeros(m, dtype=np.int32)  # flags at or after each group in the last cycle; none before cycle 0
+    fold = None  # the census with its tables at m <= _CENSUS_GROUPS, else _fold_block: set at the first folded block
     end = 0
     for cycles, block in chunks:
         start, end = end, end + cycles
@@ -358,17 +489,16 @@ def _fold(config: SystemConfig, chunks: Iterable[tuple[int, np.ndarray]]) -> tup
             first, last = int(kept[0]), int(kept[-1])
             block = block[kept] if len(kept) < len(block) else block  # a copy only when rows are left out
         first_row = 1 if start + first == 0 else 0  # cycle 0 closes no interval
-        counts, deviations = _fold_block(block, first_row, carry, sums, k)
+        if fold is None:
+            fold = partial(_fold_census, tables=_census_tables(m)) if m <= _CENSUS_GROUPS else _fold_block
+        counts, head, final = fold(block, first_row, carry, sums, deviation_sums, k)
         length_counts[: len(counts)] += counts
-        if not deviations.shape[1]:  # a one-cycle first chunk: no interval, and tail stays (0, 0)
+        if head is None:  # a one-cycle first chunk: no interval, and tail stays (0, 0)
             continue
-        _add_exact_sums(deviation_sums, deviations)
-        head = deviations[:, 0].tolist()
         deviation_sums[5:] = [total + a * b for total, (a, b) in zip(deviation_sums[5:], product(tail, head))]
         if start + first + first_row == 1:
-            opening = tuple(head)
-        tail = tuple(deviations[:, -1].tolist()) if last == cycles - 1 else (0, 0)
-        del deviations  # so that the next chunk's draw and fold do not overlap it
+            opening = head
+        tail = final if last == cycles - 1 else (0, 0)
     length_counts[0] += end - length_counts.sum()
     # over all N-1 intervals, the quiet rows' C = F = 0 included: sum Y, sum Y^2 and sum Y*F
     intervals = end - 1

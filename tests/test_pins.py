@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from groupage import cli
+from groupage import cli, sim
 
 from tracing import cold_traced
 
@@ -113,6 +113,10 @@ COLD_MEMORY_STEPS = {
         *((["simulate_age", [1321122, 7e-9, 1, 100, seed]], 130 * MiB) for seed in (0, 2, 3, 25)),
         (["groupage", "validate --n 1321122 --p 7e-9 --k 1 --cycles 100 --seeds 0,2,3,25"], 130 * MiB),
     ],
+    # the "multi-chunk" pin of tests/test_sim.py: three whole chunks of m = 1 at p = 0.3 and five
+    # cycles, every chunk dense. Its census holds a chunk's flags and its rows' two-byte codes:
+    # 3.97 MiB, against 12.04 MiB for the window sums and einsums that folded it before
+    "dense-m1-multi-chunk-under-6MiB": [(["simulate_age", [1, 0.3, 1, 3 * sim.CHUNK_DRAWS + 5, 1]], 6 * MiB)],
     # m = 1321122 at k = 1 is the largest run validate admits; an oracle off by
     # more than 1e-9 makes it exit 2, and a pmf over all m + 1 counts would trace
     # about 50 MiB: 2.57 MiB for the oracle, 102.8 MiB for validate

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -674,13 +675,16 @@ def test_gathered_chunk_folds_as_the_whole_chunk_and_the_reference(case, k, flag
     flags = np.concatenate((before, chunk, np.full((1, m), flagged_after)))
     j = np.arange(1, k + 1)
     reference = per_source_age_estimate(1 + j * flags[:, :, None].astype(np.int64))
+    # m <= _CENSUS_GROUPS folds by the census, wider m by _fold_block
+    used, unused = ("_fold_census", "_fold_block")[:: 1 if m <= sim._CENSUS_GROUPS else -1]
     for share in (0.0, math.inf):
         with mock.patch.object(sim, "_GATHER_SHARE", share):
-            with mock.patch.object(sim, "_fold_block", wraps=sim._fold_block) as fold_block:
+            with mock.patch.object(sim, used, wraps=getattr(sim, used)) as fold, mock.patch.object(sim, unused) as other:
                 summary = sim._estimate(cfg, [(2, before), (cycles, chunk), (1, flags[-1:])])
         check_reference(summary, reference, share)
         assert np.array_equal(summary.flag_counts, flag_counts_of(cfg, flags))
-        block = fold_block.call_args_list[1].args[0]  # the first chunk is flagged, so it is folded too
+        assert not other.called
+        block = fold.call_args_list[1].args[0]  # the first chunk is flagged, so it is folded too
         if share == 0.0:
             assert block is chunk
             continue
@@ -703,17 +707,41 @@ def test_gathered_chunk_folds_as_the_whole_chunk_and_the_reference(case, k, flag
 INT32_M = 1290
 
 
-def check_fold_block_against_instants(block, first_row, prior_row, k):
-    """_fold_block on flags after prior_row, the previous block's last row, equals the instants-based oracle."""
+def exact_sums(u: list[int], v: list[int]) -> list[int]:
+    """The nine sums of per-row deviations that _add_exact_sums adds, in its order, in Python ints."""
+    lagged = range(len(u) - 1)
+    return [
+        sum(u),
+        sum(v),
+        sum(a * a for a in u),
+        sum(a * b for a, b in zip(u, v)),
+        sum(b * b for b in v),
+        sum(u[i] * u[i + 1] for i in lagged),
+        sum(u[i] * v[i + 1] for i in lagged),
+        sum(v[i] * u[i + 1] for i in lagged),
+        sum(v[i] * v[i + 1] for i in lagged),
+    ]
+
+
+def check_fold_against_instants(block, first_row, prior_row, k, census=False):
+    """_fold_block, or _fold_census, on flags after prior_row, the previous block's last row, equals the instants-based oracle.
+
+    The nine sums, head and tail, all that _fold keeps of the folded rows'
+    deviations, are checked against the oracle's per-row pooled sums. Returns
+    (counts padded to m + 1, per-group sums, nine sums, head, tail, carry).
+    """
     rows, m = block.shape
     suffix = np.cumsum(prior_row[::-1])[::-1]  # flags at or after each group in the prior row
     carry = suffix.astype(np.int32)
     group_sums = np.zeros((4, m), dtype=np.int64)
-    counts, deviations = sim._fold_block(block, first_row, carry, group_sums, k)
-    in_block = slice(first_row, None)  # the rows _fold_block folds
+    totals = [0] * 9
+    fold = partial(sim._fold_census, tables=sim._census_tables(m)) if census else sim._fold_block
+    counts, head, tail = fold(block, first_row, carry, group_sums, totals, k)
+    counts = np.pad(counts, (0, m + 1 - len(counts)))
+    in_block = slice(first_row, None)  # the rows the fold folds
     lengths, carry_time, per_group, pooled = instants_fold_block(block, in_block, m - np.arange(m) + k * suffix, k)
     lengths = np.pad(lengths, (0, m * (k + 1) + 1 - len(lengths)))  # a cycle lasts m + k*F slots
-    assert np.array_equal(lengths[m::k], np.pad(counts, (0, m + 1 - len(counts))))
+    assert np.array_equal(lengths[m::k], counts)
     assert lengths.sum() == counts.sum() == rows
     assert np.array_equal(carry_time, m - np.arange(m) + k * carry)
     folded = rows - first_row
@@ -721,7 +749,10 @@ def check_fold_block_against_instants(block, first_row, prior_row, k):
     assert list(per_group[0]) == list(folded * m + k * sum_c)
     assert list(per_group[1]) == list(folded * m * m + 2 * m * k * sum_c + k * k * sum_cc)
     assert list(per_group[2]) == list(m * sum_f + k * sum_cf)
-    assert np.array_equal(pooled - np.array([[k * m * m], [k * m * m * (m + 2)]]), deviations)
+    u, v = (pooled - np.array([[k * m * m], [k * m * m * (m + 2)]])).tolist()
+    assert totals == exact_sums(u, v)
+    assert (head, tail) == (((u[0], v[0]), (u[-1], v[-1])) if folded else (None, None))
+    return counts, group_sums, totals, head, tail, carry
 
 
 def window_rows(m: int) -> int:
@@ -753,7 +784,54 @@ def fold_blocks(draw):
 @settings(deadline=None, max_examples=200)
 @given(fold_blocks())
 def test_fold_block_equals_the_instants_fold(case):
-    check_fold_block_against_instants(*case)
+    check_fold_against_instants(*case)
+
+
+# m = 1 at this k is the widest group _check_int64_totals admits: an all-flagged row's v is within 2^44
+# of 2^63, so its products reach 2^126
+WIDEST_K = 1_664_509
+
+
+@st.composite
+def census_blocks(draw):
+    """(block, first row, prior row, k) at m <= _CENSUS_GROUPS: one row, consecutive rows or a gathered block.
+
+    Consecutive blocks are few rows or within a few of window_rows(m), so
+    that _fold_block takes both its window sums and its flat count. A
+    gathered block is _fold's: the rows r-1, r and r+1 of each flagged row r
+    of a chunk, and its row 0 after a flagged prior row.
+    """
+    m = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.sampled_from([1, 2, 1000, 20_000, *([WIDEST_K] if m == 1 else [])]))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    prior_row = np.zeros(m, dtype=bool)
+    if draw(st.booleans()):  # a flagged prior row
+        prior_row = rng.random(m) < density
+        prior_row[rng.integers(m)] = True
+    shape = draw(st.sampled_from(["one row", "consecutive", "gathered"]))
+    bound = window_rows(m)
+    rows = draw(st.integers(min_value=2, max_value=40) | st.integers(min_value=bound - 3, max_value=bound + 3))
+    block = rng.random((1 if shape == "one row" else rows, m)) < density
+    if shape == "gathered":
+        busy = np.zeros(rows + 1, dtype=bool)
+        flagged = np.flatnonzero(block.any(axis=1))
+        busy[flagged] = busy[flagged + 1] = True
+        busy[0] |= prior_row.any()
+        block = block[np.flatnonzero(busy[:-1] | busy[1:])]
+        assume(len(block))
+    return block, draw(st.sampled_from([0, 1])), prior_row, k
+
+
+@settings(deadline=None, max_examples=300)
+@given(census_blocks())
+@example((np.ones((3, 1), dtype=bool), 0, np.ones(1, dtype=bool), WIDEST_K))
+@example((np.ones((1, 3), dtype=bool), 1, np.ones(3, dtype=bool), 20_000))
+def test_census_folds_as_fold_block_and_the_instants_fold(case):
+    census = check_fold_against_instants(*case, census=True)
+    fold_block = check_fold_against_instants(*case)
+    for a, b in zip(census, fold_block, strict=True):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 @pytest.mark.parametrize("rows", [INT32_M, INT32_M + 1])
@@ -765,7 +843,7 @@ def test_fold_block_is_exact_at_the_int32_bound(rows):
     assert (rows * INT32_M**2 < 2**31) == (rows == INT32_M)
     block = np.ones((rows, INT32_M), dtype=bool)
     for first_row in (0, 1):
-        check_fold_block_against_instants(block, first_row, np.ones(INT32_M, dtype=bool), 1)
+        check_fold_against_instants(block, first_row, np.ones(INT32_M, dtype=bool), 1)
 
 
 @pytest.mark.parametrize("m", [127, 128])
@@ -778,7 +856,7 @@ def test_fold_block_is_exact_at_the_int8_bound(m):
     for first_row in (0, 1):
         for k in (1, 1000):
             with mock.patch.object(sim, "_window_sums", wraps=sim._window_sums) as window_sums:
-                check_fold_block_against_instants(block, first_row, np.ones(m, dtype=bool), k)
+                check_fold_against_instants(block, first_row, np.ones(m, dtype=bool), k)
             assert window_sums.called == (m == 127)
 
 
@@ -883,22 +961,9 @@ def deviation_chunks(draw):
 @settings(deadline=None, max_examples=200)
 @given(deviation_chunks())
 def test_exact_sums_equal_python_integer_sums(deviations):
-    u, v = ([int(x) for x in row] for row in deviations)
-    lagged = [(i, i + 1) for i in range(len(u) - 1)]
-    expected = [
-        sum(u),
-        sum(v),
-        sum(a * a for a in u),
-        sum(a * b for a, b in zip(u, v)),
-        sum(b * b for b in v),
-        sum(u[i] * u[j] for i, j in lagged),
-        sum(u[i] * v[j] for i, j in lagged),
-        sum(v[i] * u[j] for i, j in lagged),
-        sum(v[i] * v[j] for i, j in lagged),
-    ]
     totals = [0] * 9
     sim._add_exact_sums(totals, deviations)
-    assert totals == expected
+    assert totals == exact_sums(*deviations.tolist())
 
 
 @settings(deadline=None, max_examples=300)
@@ -951,7 +1016,8 @@ def test_run_past_one_int64_dot_equals_per_source_reference(chunk):
 # One seeded run per fold path: (n, p, k, cycles, seed) and its standard_error.hex(), the md5 of the
 # little-endian bytes of flag_counts and of interval_sums, and overall_age.hex(). The sums' digests
 # were taken from the fold of the same flags before the summary kept per-group sums, so they did not
-# move; the CSV digests round to 12 significant digits, so these pin the last bit.
+# move, and those of "dense m = 2" and "multi-chunk m = 3" from _fold_block's fold, before the census
+# took m <= 3; the CSV digests round to 12 significant digits, so these pin the last bit.
 PINNED_RUNS = {
     "dense int32": (
         (120, 0.1, 4, 2000, 1),
@@ -1017,6 +1083,26 @@ PINNED_RUNS = {
             "0777f6f6af8898532a9b4bfac3a54f5d",
             "e60ae7a5651737358a77916386e8abb7",
             "0x1.851c5ec8803e9p+0",
+        ),
+    ),
+    # the benchmark's dense m = 2 shape: one chunk, one block of 10 000 rows, folded by the census
+    "dense m = 2": (
+        (4, 0.5, 2, 10_000, 1),
+        (
+            "0x1.345925c7a15afp-7",
+            "07fe31e05fae48964a344c7406574f42",
+            "f34b36da15a3503dd1d181e5ec7ac9ad",
+            "0x1.31446d08ee8dap+2",
+        ),
+    ),
+    # three whole chunks of three groups and a five-cycle one, each a census block after the last
+    "multi-chunk m = 3": (
+        (6, 0.2, 2, 3 * (sim.CHUNK_DRAWS // 3) + 5, 1),
+        (
+            "0x1.4bf187b16a02ep-9",
+            "26b09689b9143b52555601a66d7fc675",
+            "832b24789bbda26cbcc2826a8305f0a8",
+            "0x1.18e7717e20b24p+2",
         ),
     ),
     # N*m*qbar is about 0.96, so the run draws only its flagged slots; seed 23, the first of seeds
