@@ -29,13 +29,16 @@ and its m + 1 counts of cycles by flag total, whatever N and k are.
 
 A group's interval spans the m group times before the slot that closes it,
 so Y = m + k*C, with C <= m the flagged slots among those m. A row's C, F
-and pooled sums follow from its m flags and the previous row's, so a block
-of m <= 3 groups (_CENSUS_GROUPS) is folded by a census: each row's flags as
-an m-bit code, one np.bincount of the codes of each three consecutive rows,
-at most 2^(3m) = 512 classes, and per-run tables over the 2^(2m) pairs of
-consecutive rows that turn the census into every sum the fold keeps. In a
-wider block the fold takes every C of a large block at m <= 127 as an int8
-window sum of width m over the block's flat flags, built from sums over
+and pooled sums follow from its m flags and the previous row's, so the fold
+takes a block of consecutive rows after a prior row, the flags of the cycle
+before the block; cycle 0 closes no interval and is the first block's prior
+row. A block of m <= 3 groups (_CENSUS_GROUPS) is folded by a census: the
+prior row's and each row's flags as an m-bit code, one np.bincount of the
+codes of each three consecutive rows, at most 2^(3m) = 512 classes, and
+tables over the 2^(2m) pairs of consecutive rows, built once per m, that
+turn the census into every sum the fold keeps. In a wider block the fold
+takes every C of a large block at m <= 127 as an int8 window sum of width m
+over the prior row's and the block's flat flags, built from sums over
 doubling spans, and every C of any other block from one exclusive flat count
 of its flags, m slots apart. It sums C, C^2 and C*F in int32 while no such
 sum can reach 2^31 (m <= 1290 at the chunk size) and in int64 otherwise; the
@@ -62,8 +65,8 @@ own; every run with N*m*qbar >= 1 draws the uniforms.
 
 A run is admitted by _check_int64_totals alone, which refuses every m above
 1 321 122 and every n >= 2^21. At the largest admitted shapes a run traces
-about 103 MiB at m = 1 321 122, k = 1, p = 0.5, 1 MiB at m = 1, k = 1 664 509,
-and 118.4 to 119.2 MiB at m = 1 321 122 slot-drawn over 100 cycles, one to four
+about 99 MiB at m = 1 321 122, k = 1, p = 0.5, 1 MiB at m = 1, k = 1 664 509,
+and 114.7 to 115.4 MiB at m = 1 321 122 slot-drawn over 100 cycles, one to four
 of them flagged; tests/test_pins.py holds these under 1 GiB, 8 and 130 MiB, and
 a dense m = 1 run of three whole chunks, 4.0 MiB, under 6 MiB.
 """
@@ -72,7 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 from itertools import product
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
@@ -89,28 +92,29 @@ __all__ = ["AgeSummary", "empirical_moments", "simulate_age"]
 CHUNK_DRAWS = 2**18
 # _fold gathers a chunk's busy rows when at most this share of its rows can be busy, and
 # otherwise takes the whole chunk. Measured on one full chunk on 2 vCPUs (numpy 2.4), the two
-# cost the same at a bound of about 0.75 to 0.85 of the rows at m = 1, 0.85 to 0.9 at m = 30
-# and 1.5 to 1.6 at m = 200, where the blocks of either side that reach _WINDOW_SLOTS take
-# window sums (0.8 to 0.9 at m = 1 and 1.15 at m = 30 with the flat count alone). Per op the
-# choice is within noise: the simulator time of the benchmark's validate ops (workload seed 1)
-# was 0.089 s at 0.35, 0.5 and 0.65 alike, medians of 10 alternating rounds.
+# cost the same for _fold_block's blocks at a bound of about 0.85 to 0.9 of the rows at m = 30
+# and 1.5 to 1.6 at m = 200, where the blocks of either side that reach _WINDOW_SLOTS take window
+# sums (1.15 at m = 30 with the flat count alone). The census blocks of m <= 3 fold a whole
+# chunk faster than its gathered rows from a slot density of about 0.03 at m = 2 and 3, and
+# slower at 0.01 and below. Per op the choice is within noise: the simulator time of the
+# benchmark's validate ops (workload seed 1) was 0.089 s at 0.35, 0.5 and 0.65 alike, medians
+# of 10 alternating rounds.
 _GATHER_SHARE = 0.35
 # _fold_block counts a block's intervals by int8 window sums when m < _WINDOW_GROUPS, so that
 # no window, at most m flags, wraps, and the block holds at least _WINDOW_SLOTS slots, and by
 # one flat count otherwise. Measured per block on 2 vCPUs (numpy 2.4), the two cost the same
-# at about 2^11 slots at m = 1 and 2 and 2^12 to 2^13 at m = 30 to 127, where the window
-# sums' dozen or so more numpy calls, about 10 us, are paid back; at 2^14 slots the window
-# sums are 8 to 40% faster, and on a whole chunk, 2^18 slots, 0.79 against 1.47 ms at m = 30
-# and 0.68 against 1.28 ms at m = 127.
+# at about 2^12 to 2^13 slots at m = 30 to 127, where the window sums' dozen or so more numpy
+# calls, about 10 us, are paid back; at 2^14 slots the window sums are 8 to 40% faster, and on
+# a whole chunk, 2^18 slots, 0.79 against 1.47 ms at m = 30 and 0.68 against 1.28 ms at m = 127.
 _WINDOW_GROUPS = 128
 _WINDOW_SLOTS = 2**14
 # _fold folds the blocks of m <= _CENSUS_GROUPS groups by _fold_census, one census of their
 # 2^(3m) lag classes, and wider ones by _fold_block. Measured per block on 2 vCPUs (numpy 2.4),
 # the census folds a whole dense chunk 8 to 14 times faster (1.0 against 13.5 ms at m = 1, 0.71
 # against 5.9 ms at m = 3) and a two-row block in 46 against 105 us at m = 1 and 69 against 100
-# at m = 3, after 50 to 80 us a run for its tables. At m = 4 the tables took 170 to 190 us and a
-# two-row block 110 against 99 us, so small m = 4 runs would be slower, and m = 4 stays on
-# _fold_block although a whole chunk folded 6.6 times faster.
+# at m = 3; its tables take 50 to 80 us, once per m and process. At m = 4 the tables took 170 to
+# 190 us and a two-row block 110 against 99 us, so small m = 4 runs would be slower, and m = 4
+# stays on _fold_block although a whole chunk folded 6.6 times faster.
 _CENSUS_GROUPS = 3
 # A run expecting fewer flagged group-cycles than this, N*m*qbar, draws only its flagged slots,
 # by _flagged_slot_stretches. At about 1.5 us a flag, the slot draw measured faster than the
@@ -247,27 +251,25 @@ def _window_sums(flags: np.ndarray, m: int) -> np.ndarray:
         width *= 2
 
 
-def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.ndarray, totals: list[int], k: int) -> tuple:
-    """One block of cycles' group flags: (counts of cycles by flag total, head, tail), its sums added to sums and totals.
+def _fold_block(block: np.ndarray, prior: np.ndarray, sums: np.ndarray, totals: list[int], k: int) -> tuple:
+    """Fold the rows of block, after the prior row, into sums and totals: (counts of cycles by flag total, head, tail).
 
     Row r's interval in group g spans the m group times before slot (r, g),
-    so Y = m + k*C, with C the flags among those m slots. carry holds, per
-    group, the flags at or after it in the previous block's last row, and is
-    then overwritten with this block's. A block of at least _WINDOW_SLOTS
+    so Y = m + k*C, with C the flags among those m slots; prior holds the
+    flags of the row before the block. A block of at least _WINDOW_SLOTS
     slots at m < _WINDOW_GROUPS takes every C as an int8 window sum of width
-    m, by _window_sums, over the previous block's last row (carry's
-    differences) and this block's flat flags, and each row's flag total as
-    the window that covers it; any other block takes C as the difference, m
-    slots apart, of one exclusive flat count of its flags that starts at
-    -carry. Over its rows from first_row (0 or 1) on, it adds the sums of C,
-    C^2, C*F and F per group into the (4, m) int64 sums, sum C telescoping,
-    and takes per row the deviations u and v of the pooled sums over all n
-    sources of Y and of the double area Y^2 + 2*Y*S, which are k*sum Y and
-    k*sum (Y^2 + 2Y + (k+1)*Y*F), from a quiet row's k*m^2 and
-    k*m^2*(m + 2); _add_exact_sums adds their nine sums into totals, and
-    head and tail are (u, v) of the first and last of those rows, or None
-    when it folds none. C <= m, so each sum of C, C^2 or C*F is at most m^3
-    or rows*m^2: the counts and those sums run in int32 while both are below
+    m, by _window_sums, over prior and the block's flat flags, and each
+    row's flag total as the window that covers it; any other block takes C
+    as the difference, m slots apart, of one exclusive flat count of its
+    flags that starts at minus prior's flags at or after each group. Over
+    every row it adds the sums of C, C^2, C*F and F per group into the
+    (4, m) int64 sums, sum C telescoping, and takes per row the deviations
+    u and v of the pooled sums over all n sources of Y and of the double
+    area Y^2 + 2*Y*S, which are k*sum Y and k*sum (Y^2 + 2Y + (k+1)*Y*F),
+    from a quiet row's k*m^2 and k*m^2*(m + 2); _add_exact_sums adds their
+    nine sums into totals, and head and tail are (u, v) of the first and
+    last rows. C <= m, so each sum of C, C^2 or C*F is at most m^3 or
+    rows*m^2: the counts and those sums run in int32 while both are below
     2^31, and in int64 otherwise. The row deviations follow from them by
     exact int64 algebra. Its (rows, m) arrays die on return. _fold takes it
     for m > _CENSUS_GROUPS and _fold_census, which returns the same, for
@@ -277,32 +279,28 @@ def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.n
     narrow = np.int32 if max(m**3, rows * m * m) < 2**31 else np.int64
     if m < _WINDOW_GROUPS and rows * m >= _WINDOW_SLOTS:
         flags = np.empty((rows + 1) * m, dtype=np.int8)
-        np.subtract(carry[:-1], carry[1:], out=flags[: m - 1], casting="unsafe")  # the previous block's last row
-        flags[m - 1] = carry[-1]
+        flags[:m] = prior
         flags[m:] = block.reshape(-1)
         windows = _window_sums(flags, m)  # windows[i]: the flags among flags[i : i + m]
         c = windows[:-1].reshape(rows, m).astype(narrow)
         row_flags = windows[m::m].astype(np.int64)
-        # sum C: the flags at or after g in row first_row - 1 (row -1 the previous block's
-        # last), in every row from first_row on, less those at or after g in the last row
-        first = carry if first_row == 0 else np.cumsum(block[0, ::-1])[::-1]
-        last = np.cumsum(block[-1, ::-1])[::-1]
-        sums[0] += first - last + row_flags[first_row:].sum()
-        carry[:] = last
+        # sum C: the flags at or after g in prior and in every row, less those in the last row,
+        # and the flags before g in every row
+        sums[0] += np.cumsum(prior[::-1])[::-1] - np.cumsum(block[-1, ::-1])[::-1] + row_flags.sum()
         del flags, windows  # before the reductions' temporaries
     else:
         counts = np.empty((rows + 1) * m + 1, dtype=narrow)
-        np.negative(carry, out=counts[:m])
+        np.cumsum(prior[::-1], out=counts[m - 1 :: -1])
+        np.negative(counts[:m], out=counts[:m])
         counts[m] = 0
         np.cumsum(block, out=counts[m + 1 :])
         before = counts[:-1].reshape(rows + 1, m)  # before[r + 1, g]: the block's flags before slot (r, g)
         c = before[1:] - before[:-1]
         row_flags = np.subtract(counts[2 * m :: m], counts[m:-1:m], dtype=np.int64)
-        np.subtract(counts[-1], before[-1], out=carry, casting="same_kind")
-        sums[0] += before[-1] - before[first_row]
+        sums[0] += before[-1] - before[0]
         del counts, before  # before the reductions' temporaries
     length_counts = np.bincount(row_flags)
-    c, f, row_flags = c[first_row:], block[first_row:].astype(narrow), row_flags[first_row:]
+    f = block.astype(narrow)
     sums[1] += np.einsum("ij,ij->j", c, c)
     sums[2] += np.einsum("ij,ij->j", c, f)
     sums[3] += np.einsum("ij->j", f)
@@ -310,7 +308,7 @@ def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.n
     row_cc = np.einsum("ij,ij->i", c, c)
     row_cf = np.einsum("ij,ij->i", c, f)
     # u = k^2*sum C and v = k^2*(k*sum C^2 + (k+1)*sum C*F + (2m + 2)*sum C) + k(k+1)*m*F
-    deviations = np.empty((2, len(row_c)), dtype=np.int64)
+    deviations = np.empty((2, rows), dtype=np.int64)
     u, v = deviations
     np.multiply(row_cc, k, out=v, dtype=np.int64)
     np.multiply(row_cf, k + 1, out=u, dtype=np.int64)
@@ -321,8 +319,6 @@ def _fold_block(block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.n
     np.multiply(row_flags, k * (k + 1) * m, out=u)
     v += u
     np.multiply(row_c, k * k, out=u, dtype=np.int64)
-    if not deviations.shape[1]:  # one row, not folded
-        return length_counts, None, None
     _add_exact_sums(totals, deviations)
     return length_counts, tuple(deviations[:, 0].tolist()), tuple(deviations[:, -1].tolist())
 
@@ -341,69 +337,63 @@ class _CensusTables(NamedTuple):
     phi: np.ndarray  # (2^m, 2^m, 4) int64: phi by [previous row, row]
     phi_by_row: np.ndarray  # (4, 4^m) int64: phi_i of pair (a, b) in column b*2^m + a
     features: list  # phi of each pair, Python ints
-    carries: np.ndarray  # (2^m, m) int32: each row code's flags at or after each group, _fold's carry
-    codes: dict  # a carry, as a tuple, to its row code
 
 
+@cache
 def _census_tables(m: int) -> _CensusTables:
-    """_fold_census' tables for m groups: O(8^m) small int64 values, built with numpy 1.24's API."""
+    """_fold_census' tables for m groups, cached: O(8^m) small read-only int64 values, by numpy 1.24's API."""
     flags = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # (2^m, m): each row code's flags
-    carries = np.cumsum(flags[:, ::-1], axis=1)[:, ::-1]
+    suffix = np.cumsum(flags[:, ::-1], axis=1)[:, ::-1]  # each row code's flags at or after each group
     # a pair's C in group g: the previous row's flags at or after g and the row's before g
-    c = (carries[:, None] + (np.cumsum(flags, axis=1) - flags)).reshape(-1, m)
+    c = (suffix[:, None] + (np.cumsum(flags, axis=1) - flags)).reshape(-1, m)
     f = np.tile(flags, (1 << m, 1))
     stats = np.concatenate((c, c * c, c * f, f), axis=1)
     phi = stats.reshape(-1, 4, m).sum(axis=2)
     squares = (phi[:, :, None] * phi[:, None, :]).reshape(-1, 16)
     by_pair = phi.reshape(1 << m, 1 << m, 4)
-    return _CensusTables(
+    tables = _CensusTables(
         row=np.concatenate((stats, np.eye(m + 1, dtype=np.int64)[phi[:, 3]], phi, squares), axis=1),
         phi=by_pair,
         phi_by_row=np.ascontiguousarray(by_pair.transpose(2, 1, 0).reshape(4, -1)),
         features=phi.tolist(),
-        carries=carries.astype(np.int32),
-        codes={tuple(carry): code for code, carry in enumerate(carries.tolist())},
     )
+    for array in (tables.row, tables.phi, tables.phi_by_row):
+        array.flags.writeable = False
+    return tables
 
 
-def _fold_census(
-    block: np.ndarray, first_row: int, carry: np.ndarray, sums: np.ndarray, totals: list[int], k: int, tables: _CensusTables
-) -> tuple:
-    """_fold_block's fold of a block of m <= _CENSUS_GROUPS groups, by one census of its lag classes.
+def _fold_census(block: np.ndarray, prior: np.ndarray, sums: np.ndarray, totals: list[int], k: int) -> tuple:
+    """_fold_block's fold of a block of m <= _CENSUS_GROUPS groups after the prior row, by a census of its lag classes.
 
     A row's C, F and (u, v) follow from its flags and the previous row's,
     and a lag pair's products from three consecutive rows', so the block is
-    its rows' m-bit codes (the previous block's last row from carry) and one
-    np.bincount of the classes of each three consecutive rows from first_row
-    - 1 on, at most 2^(3m). Summed over the third row, the census counts the
-    folded rows but the last, which opens no lag pair, by pair; with the
-    last added, those counts times tables.row give the sums that _fold_block
-    adds to sums, the counts of cycles by flag total and the sums of phi and
-    phi_i*phi_j over the rows, and two products of the census with the
-    tables' phi give the sums of phi_i*phi'_j over the lag pairs, phi' the
-    next row's. The nine sums follow in Python ints, and so do head and
-    tail, the (u, v) of the first and last folded rows: it returns (counts,
-    head, tail) as _fold_block does.
+    prior's and its rows' m-bit codes and one np.bincount of the classes of
+    each three consecutive of them, at most 2^(3m). Summed over the third
+    row, the census counts the rows but the last, which opens no lag pair,
+    by pair; with the last added, those counts times the tables' row give
+    the sums that _fold_block adds to sums, the counts of cycles by flag
+    total and the sums of phi and phi_i*phi_j over the rows, and two
+    products of the census with the tables' phi give the sums of
+    phi_i*phi'_j over the lag pairs, phi' the next row's. The nine sums
+    follow in Python ints, and so do head and tail, the (u, v) of the first
+    and last rows: it returns (counts, head, tail) as _fold_block does.
     """
     rows, m = block.shape
-    codes = np.empty(rows + 1, dtype=np.uint16)  # codes[r + 1]: row r's; codes[0]: the previous block's last row's
-    codes[0] = tables.codes[tuple(carry.tolist())]
+    tables = _census_tables(m)
+    codes = np.empty(rows + 1, dtype=np.uint16)  # codes[r + 1]: row r's; codes[0]: prior's
+    codes[0] = np.packbits(prior, bitorder="little")[0]
     row_codes = codes[1:]
     row_codes[:] = block[:, 0]
     for g in range(1, m):
         row_codes |= block[:, g].view(np.uint8) << g
-    lags = codes[first_row:-2] << 2 * m  # the classes of the lag pairs (r, r + 1) from r = first_row on
-    lags |= codes[first_row + 1 : -1] << m
-    lags |= codes[first_row + 2 :]
+    lags = codes[:-2] << 2 * m  # the classes of the lag pairs (r, r + 1)
+    lags |= codes[1:-1] << m
+    lags |= codes[2:]
     census = np.bincount(lags, minlength=len(tables.row) << m).reshape(1 << m, 1 << m, 1 << m)
     pairs = census.sum(axis=2).reshape(-1)
     previous, final = codes[-2:].tolist()
-    carry[:] = tables.carries[final]
-    if rows > first_row:
-        pairs[previous << m | final] += 1
+    pairs[previous << m | final] += 1
     total = pairs @ tables.row
-    if first_row:  # row 0 is counted, not folded
-        total[4 * m + tables.carries[row_codes[0], 0]] += 1
     sums += total[: 4 * m].reshape(4, m)
     # a row's u = k^2*phi[0] and v = weights . phi, as in _fold_block; square and lagged hold the
     # 16 sums of phi_i*phi_j over the rows and of phi_i*phi'_j over the lag pairs, i major, and
@@ -422,11 +412,9 @@ def _fold_census(
     nine += (k2 * k2 * lagged[0], k2 * lagged_v[0], k2 * v(lagged[::4]), v(lagged_v))
     for i, value in enumerate(nine):
         totals[i] += value
-    head = tail = None
-    if rows > first_row:
-        before, opening = codes[first_row : first_row + 2].tolist()
-        ends = (tables.features[before << m | opening], tables.features[previous << m | final])
-        head, tail = ((k2 * x[0], v(x)) for x in ends)
+    before, opening = codes[:2].tolist()
+    ends = (tables.features[before << m | opening], tables.features[previous << m | final])
+    head, tail = ((k2 * x[0], v(x)) for x in ends)
     return total[4 * m : 5 * m + 1], head, tail
 
 
@@ -451,52 +439,54 @@ def _fold(config: SystemConfig, chunks: Iterable[tuple[int, np.ndarray]]) -> tup
     Row c of a chunk is the interval that cycle c closes. When cycles c-1
     and c are both all clear, the row is quiet: it has C = F = 0 in every
     group and u = v = 0, and is only counted, as are the rows past block.
-    Each chunk is folded as one block of consecutive rows, by _fold_census
-    at m <= _CENSUS_GROUPS, with tables built at the run's first folded
-    block, and by _fold_block otherwise; either adds the block's nine sums
-    and returns (u, v) of its first and last folded rows. The block is the
-    whole chunk's or, where few rows can be busy, the busy rows (each
-    flagged row, the row after it, and row 0 after a flagged previous cycle)
-    and the row before each, kept by one row mask. A row so kept after a left-out one is
-    all clear after an all-clear row and folds as the quiet row it is, so the
-    lag products are taken from row to row of the block, and across chunks
-    from the last chunk's last row to the block's first folded row. Across
-    chunks it carries, per group, the flagged groups at or after it in the
-    chunk's last cycle, whose first entry is that cycle's flag total, and
-    (u, v) of the chunk's last row.
+    Cycle 0 closes no interval: it is counted and becomes the prior row of
+    the first chunk's later rows. Each chunk is folded as one block of
+    consecutive rows after a prior row, the last cycle's flags, by
+    _fold_census at m <= _CENSUS_GROUPS and by _fold_block otherwise;
+    either adds the block's nine sums and returns (u, v) of its first and
+    last rows. The block is the whole chunk's or, where few rows can be
+    busy, the busy rows (each flagged row, the row after it, and row 0
+    after a flagged prior row) and the row before each, kept by one row
+    mask. A row so kept after a left-out one is all clear after an
+    all-clear row and folds as the quiet row it is, so the lag products are
+    taken from row to row of the block, and across chunks from the last
+    chunk's last row to the block's first row. Across chunks it keeps the
+    block's last row as the next prior row, all clear when the block does
+    not hold the chunk's last cycle, and (u, v) of the chunk's last row.
     """
     m, k = config.m, config.k
+    fold = _fold_census if m <= _CENSUS_GROUPS else _fold_block
     sums = np.zeros((4, m), dtype=np.int64)  # per group: sum C, sum C^2, sum C*F, sum F
     length_counts = np.zeros(m + 1, dtype=np.int64)
     deviation_sums = [0] * 9  # as _add_exact_sums orders them
     opening = tail = (0, 0)  # (u, v) of the run's first interval and of the last chunk's last row
-    carry = np.zeros(m, dtype=np.int32)  # flags at or after each group in the last cycle; none before cycle 0
-    fold = None  # the census with its tables at m <= _CENSUS_GROUPS, else _fold_block: set at the first folded block
+    prior = np.zeros(m, dtype=bool)  # the last cycle's flags
     end = 0
     for cycles, block in chunks:
         start, end = end, end + cycles
-        hits = np.count_nonzero(block)
-        if not hits and not carry[0]:  # no flag here or in the cycle before: all rows quiet
+        if not start and len(block):  # cycle 0 closes no interval: count it, and fold the rows after it
+            length_counts[np.count_nonzero(block[0])] += 1
+            prior, block, start, cycles = block[0].copy(), block[1:], 1, cycles - 1
+            if not len(block):
+                continue
+        hits, prior_flagged = np.count_nonzero(block), prior.any()
+        if not hits and not prior_flagged:  # no flag here or in the cycle before: all rows quiet
             tail = (0, 0)
             continue
         first, last = 0, len(block) - 1
-        if 2 * hits + (carry[0] > 0) < _GATHER_SHARE * cycles:  # at most 2*hits + 1 busy rows
+        if 2 * hits + prior_flagged < _GATHER_SHARE * cycles:  # at most 2*hits + 1 busy rows
             busy = np.zeros(len(block) + 1, dtype=bool)  # row r is busy when r or r-1 is flagged
             flagged = np.flatnonzero(block) // m
             busy[flagged] = busy[flagged + 1] = True
-            busy[0] |= carry[0] > 0  # row -1 is the previous chunk's last
+            busy[0] |= prior_flagged
             kept = np.flatnonzero(busy[:-1] | busy[1:])  # the busy rows and the row before each
             first, last = int(kept[0]), int(kept[-1])
             block = block[kept] if len(kept) < len(block) else block  # a copy only when rows are left out
-        first_row = 1 if start + first == 0 else 0  # cycle 0 closes no interval
-        if fold is None:
-            fold = partial(_fold_census, tables=_census_tables(m)) if m <= _CENSUS_GROUPS else _fold_block
-        counts, head, final = fold(block, first_row, carry, sums, deviation_sums, k)
+        counts, head, final = fold(block, prior, sums, deviation_sums, k)
+        prior = block[-1].copy()
         length_counts[: len(counts)] += counts
-        if head is None:  # a one-cycle first chunk: no interval, and tail stays (0, 0)
-            continue
         deviation_sums[5:] = [total + a * b for total, (a, b) in zip(deviation_sums[5:], product(tail, head))]
-        if start + first + first_row == 1:
+        if start + first == 1:
             opening = head
         tail = final if last == cycles - 1 else (0, 0)
     length_counts[0] += end - length_counts.sum()

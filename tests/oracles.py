@@ -303,30 +303,29 @@ def exact_overall_age(interval_sums: np.ndarray, k: int) -> Fraction:
     return total / interval_sums.shape[1]
 
 
-def instants_fold_block(block: np.ndarray, in_block, carry: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """A block of (rows, m) group flags folded from generation instants: (length counts, carry, per-group sums, pooled).
+def instants_fold_block(block: np.ndarray, carry: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """A block of (rows, m) group flags folded from generation instants: (length counts, per-group sums, pooled).
 
     One flat cumsum of the group times 1 + k*F, less each time, gives the
     generation instants, and Y is their difference from row to row, plus
-    carry, each group's time from its last instant to the previous block's
-    end, on the first row. The block's cycle lengths are counted by
-    np.bincount (index m + k*F), the carry after the block is returned, and
-    over the busy rows in_block it sums Y, Y^2 and Y*F per group, and per
-    row the pooled sums over all n = m*k sources of Y and of the double area
-    Y^2 + 2*Y*S, k*sum Y and k*sum (Y^2 + 2Y + (k+1)*Y*F). Everything is
-    int64.
+    carry, each group's time from its last instant to the end of the row
+    before the block, on the first row. The block's cycle lengths are
+    counted by np.bincount (index m + k*F), and over every row it sums Y,
+    Y^2 and Y*F per group, and per row the pooled sums over all n = m*k
+    sources of Y and of the double area Y^2 + 2*Y*S, k*sum Y and
+    k*sum (Y^2 + 2Y + (k+1)*Y*F). Everything is int64.
     """
     group_times = block.astype(np.int64) * k + 1
     instants = np.cumsum(group_times).reshape(block.shape) - group_times
     ends = instants[:, -1] + group_times[:, -1]
-    intervals = np.empty_like(instants)
-    intervals[0] = instants[0] + carry
-    intervals[1:] = instants[1:] - instants[:-1]
+    y = np.empty_like(instants)
+    y[0] = instants[0] + carry
+    y[1:] = instants[1:] - instants[:-1]
     length_counts = np.bincount(ends - instants[:, 0])
-    y, f = intervals[in_block], block[in_block].astype(np.int64)
+    f = block.astype(np.int64)
     per_group = np.stack((y.sum(axis=0), (y * y).sum(axis=0), (y * f).sum(axis=0)))
     pooled = k * np.stack((y.sum(axis=1), (y * y + 2 * y + (k + 1) * y * f).sum(axis=1)))
-    return length_counts, ends[-1] - instants[-1], per_group, pooled
+    return length_counts, per_group, pooled
 
 
 def exact_pooled_standard_error(pooled_intervals, pooled_double_areas, n: int) -> float:

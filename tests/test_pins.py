@@ -98,7 +98,7 @@ MiB = 2**20
 COLD_MEMORY_STEPS = {
     # the n = 20 enumeration walks its codes in blocks, the simulator keeps no
     # per-cycle series, and neither the simulator nor the convolution oracle
-    # holds a k-long array, so no run grows with its input: 3.49, 0.01, 0.01 MiB
+    # holds a k-long array, so no run grows with its input: 3.50, 0.01, 0.01 MiB
     "validate-under-8MiB": [
         (["groupage", "validate --n 20 --p 0.3 --k 1 --cycles 50000"], 8 * MiB),
         (["groupage", "validate --n 1 --p 1e-9 --k 1 --cycles 1000000"], 8 * MiB),
@@ -108,18 +108,18 @@ COLD_MEMORY_STEPS = {
     # slots; seeds 0, 3, 2 and 25 flag 1, 2, 3 and 4 cycles. Each flagged cycle
     # is a stretch of its own, whose fold block holds at most two rows of m
     # groups, and validate frees each seed's summary before the next seed's run,
-    # so four seeds trace what one run does: 118.4-119.2 MiB
+    # so four seeds trace what one run does: 114.7-115.4 MiB
     "slot-drawn-under-130MiB": [
         *((["simulate_age", [1321122, 7e-9, 1, 100, seed]], 130 * MiB) for seed in (0, 2, 3, 25)),
         (["groupage", "validate --n 1321122 --p 7e-9 --k 1 --cycles 100 --seeds 0,2,3,25"], 130 * MiB),
     ],
     # the "multi-chunk" pin of tests/test_sim.py: three whole chunks of m = 1 at p = 0.3 and five
     # cycles, every chunk dense. Its census holds a chunk's flags and its rows' two-byte codes:
-    # 3.97 MiB, against 12.04 MiB for the window sums and einsums that folded it before
+    # 3.98 MiB, against 12.04 MiB for the window sums and einsums that folded it before
     "dense-m1-multi-chunk-under-6MiB": [(["simulate_age", [1, 0.3, 1, 3 * sim.CHUNK_DRAWS + 5, 1]], 6 * MiB)],
     # m = 1321122 at k = 1 is the largest run validate admits; an oracle off by
     # more than 1e-9 makes it exit 2, and a pmf over all m + 1 counts would trace
-    # about 50 MiB: 2.57 MiB for the oracle, 102.8 MiB for validate
+    # about 50 MiB: 2.57 MiB for the oracle, 101.5 MiB for validate
     "widest-validate-under-budget": [
         (["convolution_oracle", [1321122, 0.5, 1]], 8 * MiB),
         (["groupage", "validate --n 1321122 --p 0.5 --k 1 --cycles 50 --seeds 0"], cli.MEMORY_BUDGET_BYTES),

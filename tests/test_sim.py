@@ -1,7 +1,6 @@
 import hashlib
 import math
 from fractions import Fraction
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -723,36 +722,32 @@ def exact_sums(u: list[int], v: list[int]) -> list[int]:
     ]
 
 
-def check_fold_against_instants(block, first_row, prior_row, k, census=False):
-    """_fold_block, or _fold_census, on flags after prior_row, the previous block's last row, equals the instants-based oracle.
+def check_fold_against_instants(block, prior_row, k, census=False):
+    """_fold_block, or _fold_census, on the rows of block after prior_row equals the instants-based oracle.
 
-    The nine sums, head and tail, all that _fold keeps of the folded rows'
-    deviations, are checked against the oracle's per-row pooled sums. Returns
-    (counts padded to m + 1, per-group sums, nine sums, head, tail, carry).
+    The nine sums, head and tail, all that _fold keeps of the rows'
+    deviations, are checked against the oracle's per-row pooled sums.
+    Returns (counts padded to m + 1, per-group sums, nine sums, head, tail).
     """
     rows, m = block.shape
     suffix = np.cumsum(prior_row[::-1])[::-1]  # flags at or after each group in the prior row
-    carry = suffix.astype(np.int32)
     group_sums = np.zeros((4, m), dtype=np.int64)
     totals = [0] * 9
-    fold = partial(sim._fold_census, tables=sim._census_tables(m)) if census else sim._fold_block
-    counts, head, tail = fold(block, first_row, carry, group_sums, totals, k)
+    fold = sim._fold_census if census else sim._fold_block
+    counts, head, tail = fold(block, prior_row, group_sums, totals, k)
     counts = np.pad(counts, (0, m + 1 - len(counts)))
-    in_block = slice(first_row, None)  # the rows the fold folds
-    lengths, carry_time, per_group, pooled = instants_fold_block(block, in_block, m - np.arange(m) + k * suffix, k)
+    lengths, per_group, pooled = instants_fold_block(block, m - np.arange(m) + k * suffix, k)
     lengths = np.pad(lengths, (0, m * (k + 1) + 1 - len(lengths)))  # a cycle lasts m + k*F slots
     assert np.array_equal(lengths[m::k], counts)
     assert lengths.sum() == counts.sum() == rows
-    assert np.array_equal(carry_time, m - np.arange(m) + k * carry)
-    folded = rows - first_row
     sum_c, sum_cc, sum_cf, sum_f = (row.astype(object) for row in group_sums)
-    assert list(per_group[0]) == list(folded * m + k * sum_c)
-    assert list(per_group[1]) == list(folded * m * m + 2 * m * k * sum_c + k * k * sum_cc)
+    assert list(per_group[0]) == list(rows * m + k * sum_c)
+    assert list(per_group[1]) == list(rows * m * m + 2 * m * k * sum_c + k * k * sum_cc)
     assert list(per_group[2]) == list(m * sum_f + k * sum_cf)
     u, v = (pooled - np.array([[k * m * m], [k * m * m * (m + 2)]])).tolist()
     assert totals == exact_sums(u, v)
-    assert (head, tail) == (((u[0], v[0]), (u[-1], v[-1])) if folded else (None, None))
-    return counts, group_sums, totals, head, tail, carry
+    assert (head, tail) == ((u[0], v[0]), (u[-1], v[-1]))
+    return counts, group_sums, totals, head, tail
 
 
 def window_rows(m: int) -> int:
@@ -760,9 +755,16 @@ def window_rows(m: int) -> int:
     return -(-sim._WINDOW_SLOTS // m)
 
 
+def after_row_0(draw, block, prior_row, k):
+    """(block, prior row, k), or, when drawn and block has two rows or more, its rows from row 1 on after its row 0."""
+    if len(block) > 1 and draw(st.booleans()):
+        return block[1:], block[0], k
+    return block, prior_row, k
+
+
 @st.composite
 def fold_blocks(draw):
-    """(block, first row, prior row, k): random flags at a random density, folded from row 0 or row 1.
+    """(block, prior row, k): random flags at a random density, after a random prior row or after the block's row 0.
 
     Below INT32_M the rows are few, or within a few of window_rows(m), so
     that blocks of m < 128 groups fall on both sides of the slot bound.
@@ -778,7 +780,7 @@ def fold_blocks(draw):
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     block = rng.random((rows, m)) < density
     prior_row = rng.random(m) < density
-    return block, draw(st.sampled_from([0, 1])), prior_row, k
+    return after_row_0(draw, block, prior_row, k)
 
 
 @settings(deadline=None, max_examples=200)
@@ -794,7 +796,7 @@ WIDEST_K = 1_664_509
 
 @st.composite
 def census_blocks(draw):
-    """(block, first row, prior row, k) at m <= _CENSUS_GROUPS: one row, consecutive rows or a gathered block.
+    """(block, prior row, k) at m <= _CENSUS_GROUPS: one row, consecutive rows or a gathered block, as after_row_0.
 
     Consecutive blocks are few rows or within a few of window_rows(m), so
     that _fold_block takes both its window sums and its flat count. A
@@ -820,18 +822,27 @@ def census_blocks(draw):
         busy[0] |= prior_row.any()
         block = block[np.flatnonzero(busy[:-1] | busy[1:])]
         assume(len(block))
-    return block, draw(st.sampled_from([0, 1])), prior_row, k
+    return after_row_0(draw, block, prior_row, k)
 
 
 @settings(deadline=None, max_examples=300)
 @given(census_blocks())
-@example((np.ones((3, 1), dtype=bool), 0, np.ones(1, dtype=bool), WIDEST_K))
-@example((np.ones((1, 3), dtype=bool), 1, np.ones(3, dtype=bool), 20_000))
+@example((np.ones((3, 1), dtype=bool), np.ones(1, dtype=bool), WIDEST_K))
+@example((np.ones((1, 3), dtype=bool), np.ones(3, dtype=bool), 20_000))
 def test_census_folds_as_fold_block_and_the_instants_fold(case):
     census = check_fold_against_instants(*case, census=True)
     fold_block = check_fold_against_instants(*case)
     for a, b in zip(census, fold_block, strict=True):
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_census_tables_are_built_once_per_m_and_read_only(m):
+    tables = sim._census_tables(m)
+    assert sim._census_tables(m) is tables
+    for array in (tables.row, tables.phi, tables.phi_by_row):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] += 1
 
 
 @pytest.mark.parametrize("rows", [INT32_M, INT32_M + 1])
@@ -842,8 +853,8 @@ def test_fold_block_is_exact_at_the_int32_bound(rows):
     assert INT32_M**3 < 2**31 <= (INT32_M + 1) ** 3
     assert (rows * INT32_M**2 < 2**31) == (rows == INT32_M)
     block = np.ones((rows, INT32_M), dtype=bool)
-    for first_row in (0, 1):
-        check_fold_against_instants(block, first_row, np.ones(INT32_M, dtype=bool), 1)
+    for start in (0, 1):  # after an all-flagged prior row, or from row 1 on after row 0
+        check_fold_against_instants(block[start:], np.ones(INT32_M, dtype=bool), 1)
 
 
 @pytest.mark.parametrize("m", [127, 128])
@@ -853,10 +864,10 @@ def test_fold_block_is_exact_at_the_int8_bound(m):
     # take them; these blocks are past the slot bound, so m = 127 does
     rows = window_rows(127) + 1
     block = np.ones((rows, m), dtype=bool)
-    for first_row in (0, 1):
+    for start in (0, 1):  # after an all-flagged prior row, or from row 1 on after row 0
         for k in (1, 1000):
             with mock.patch.object(sim, "_window_sums", wraps=sim._window_sums) as window_sums:
-                check_fold_against_instants(block, first_row, np.ones(m, dtype=bool), k)
+                check_fold_against_instants(block[start:], np.ones(m, dtype=bool), k)
             assert window_sums.called == (m == 127)
 
 
@@ -1114,6 +1125,28 @@ PINNED_RUNS = {
             "2a9b07d5d9223c62f21e01795185b89e",
             "02c268a8d996a7539c6edd8b75092768",
             "0x1.05d37a6f4de9bp+4",
+        ),
+    ),
+    # m = CHUNK_DRAWS, so each chunk holds one cycle: the first chunk is cycle 0 alone, which closes no
+    # interval, and each later one-row block folds after the cycle before it
+    "dense one-cycle chunks": (
+        (sim.CHUNK_DRAWS, 0.3, 1, 4, 1),
+        (
+            "0x1.569dfc6de11e0p+5",
+            "642a1ac69dcaa899e2cc2db874e0bb5c",
+            "a360f2c70c6909d7d739f3afcf818aa0",
+            "0x1.4cd22f3c9bb54p+17",
+        ),
+    ),
+    # drawn by its flagged slots as "slot-drawn back to back" is; seed 25, the first seed that flags
+    # cycle 0, so the run's first stretch starts at a flagged cycle 0
+    "slot-drawn flagged cycle 0": (
+        (60, 1.6e-3, 2, 10, 25),
+        (
+            "0x1.84cb7b5fc5f33p-4",
+            "fb2130c88f72b9bc48c883db20229020",
+            "18832da4036286c85fd5c8ea2000f3e8",
+            "0x1.092c6485b060bp+4",
         ),
     ),
 }
