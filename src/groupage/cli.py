@@ -38,7 +38,7 @@ SIMULATION_ALPHA = math.erfc(3.0 / math.sqrt(2.0))
 # bytes; over it, age-vs-n exits 1 up front. simulate and validate admit what
 # sim._check_int64_totals admits, at most m = 1 321 122 groups and n < 2^21
 # sources; the largest, validate --n 1321122 --p 0.5 --k 1 --cycles 50, traces
-# 103 MiB, and tests/test_pins.py holds it under this budget.
+# 101.5 MiB, and tests/test_pins.py holds it under this budget.
 MEMORY_BUDGET_BYTES = 2**30
 # Peak bytes per age-vs-n row (its tuple, numbers and CSV line), under
 # tracemalloc: 313 to 330 over 20 000 to 40 000 rows.

@@ -82,9 +82,8 @@ def stationary_group_sizes(p: float) -> StationaryPoints:
 
 
 def _neighbor_divisors(alpha: float, divs: list[int]) -> tuple[int, int]:
-    # nearest divisors below and above alpha, clamped to [1, n]
-    if alpha < divs[0]:
-        return divs[0], divs[0]
+    # nearest divisors below and above alpha, clamped to n: a stationary point is never below 2.7,
+    # and one below divs[0] = 1 would give (n, 1), both candidates already
     if alpha > divs[-1]:
         return divs[-1], divs[-1]
     below = divs[bisect_right(divs, alpha) - 1]

@@ -37,10 +37,9 @@ prior row's and each row's flags as an m-bit code, one np.bincount of the
 codes of each three consecutive rows, at most 2^(3m) = 512 classes, and
 tables over the 2^(2m) pairs of consecutive rows, built once per m, that
 turn the census into every sum the fold keeps. In a wider block the fold
-takes every C of a large block at m <= 127 as an int8 window sum of width m
-over the prior row's and the block's flat flags, built from sums over
-doubling spans, and every C of any other block from one exclusive flat count
-of its flags, m slots apart. It sums C, C^2 and C*F in int32 while no such
+takes every C as a window sum of width m over the prior row's and the
+block's flat flags, built from sums over doubling spans in the narrowest
+unsigned type that holds m. It sums C, C^2 and C*F in int32 while no such
 sum can reach 2^31 (m <= 1290 at the chunk size) and in int64 otherwise; the
 sums of Y follow by exact int64 algebra. An interval between two all-clear
 cycles has C = 0 and F = 0 in every group, so the fold only counts it, and
@@ -65,9 +64,9 @@ own; every run with N*m*qbar >= 1 draws the uniforms.
 
 A run is admitted by _check_int64_totals alone, which refuses every m above
 1 321 122 and every n >= 2^21. At the largest admitted shapes a run traces
-about 99 MiB at m = 1 321 122, k = 1, p = 0.5, 1 MiB at m = 1, k = 1 664 509,
-and 114.7 to 115.4 MiB at m = 1 321 122 slot-drawn over 100 cycles, one to four
-of them flagged; tests/test_pins.py holds these under 1 GiB, 8 and 130 MiB, and
+about 100 MiB at m = 1 321 122, k = 1, p = 0.5, 1 MiB at m = 1, k = 1 664 509,
+and 110.9 to 111.6 MiB at m = 1 321 122 slot-drawn over 100 cycles, one to four
+of them flagged; tests/test_pins.py holds these under 1 GiB, 8 and 120 MiB, and
 a dense m = 1 run of three whole chunks, 4.0 MiB, under 6 MiB.
 """
 
@@ -90,24 +89,14 @@ __all__ = ["AgeSummary", "empirical_moments", "simulate_age"]
 # Uniform draws per chunk (2 MB of float64), one a group and cycle; a chunk holds
 # max(1, CHUNK_DRAWS // m) cycles. Larger chunks measured no faster.
 CHUNK_DRAWS = 2**18
-# _fold gathers a chunk's busy rows when at most this share of its rows can be busy, and
-# otherwise takes the whole chunk. Measured on one full chunk on 2 vCPUs (numpy 2.4), the two
-# cost the same for _fold_block's blocks at a bound of about 0.85 to 0.9 of the rows at m = 30
-# and 1.5 to 1.6 at m = 200, where the blocks of either side that reach _WINDOW_SLOTS take window
-# sums (1.15 at m = 30 with the flat count alone). The census blocks of m <= 3 fold a whole
-# chunk faster than its gathered rows from a slot density of about 0.03 at m = 2 and 3, and
-# slower at 0.01 and below. Per op the choice is within noise: the simulator time of the
-# benchmark's validate ops (workload seed 1) was 0.089 s at 0.35, 0.5 and 0.65 alike, medians
-# of 10 alternating rounds.
+# _fold gathers a chunk's busy rows when at most this share of its rows can be busy, and otherwise
+# takes the whole chunk. Measured on one full chunk on 2 vCPUs (numpy 2.4), the two cost the same
+# for _fold_block's blocks at a bound of about 0.8 to 0.9 of the rows at m = 30 and 1.1 to 1.2 at
+# m = 200. The census blocks of m <= 3 fold a whole chunk faster than its gathered rows from a
+# slot density of about 0.03 at m = 2 and 3, and slower at 0.01 and below. Per op the choice is
+# within noise: the simulator time of the benchmark's validate ops (workload seed 1) was 0.089 s
+# at 0.35, 0.5 and 0.65 alike, medians of 10 alternating rounds.
 _GATHER_SHARE = 0.35
-# _fold_block counts a block's intervals by int8 window sums when m < _WINDOW_GROUPS, so that
-# no window, at most m flags, wraps, and the block holds at least _WINDOW_SLOTS slots, and by
-# one flat count otherwise. Measured per block on 2 vCPUs (numpy 2.4), the two cost the same
-# at about 2^12 to 2^13 slots at m = 30 to 127, where the window sums' dozen or so more numpy
-# calls, about 10 us, are paid back; at 2^14 slots the window sums are 8 to 40% faster, and on
-# a whole chunk, 2^18 slots, 0.79 against 1.47 ms at m = 30 and 0.68 against 1.28 ms at m = 127.
-_WINDOW_GROUPS = 128
-_WINDOW_SLOTS = 2**14
 # _fold folds the blocks of m <= _CENSUS_GROUPS groups by _fold_census, one census of their
 # 2^(3m) lag classes, and wider ones by _fold_block. Measured per block on 2 vCPUs (numpy 2.4),
 # the census folds a whole dense chunk 8 to 14 times faster (1.0 against 13.5 ms at m = 1, 0.71
@@ -224,7 +213,7 @@ def _add_exact_sums(totals: list[int], deviations: np.ndarray) -> None:
 
 
 def _window_sums(flags: np.ndarray, m: int) -> np.ndarray:
-    """The sums of every m consecutive entries of a flat int8 array of 0s and 1s, in int8 (m <= 127).
+    """The sums of every m consecutive entries of a flat array of 0s and 1s, in its unsigned type, which must hold m.
 
     Doubling spans: floor(log2 m) in-place adds turn the array into its sums
     over spans of 1, 2, 4, ... entries, and the spans of m's set bits, laid
@@ -256,49 +245,34 @@ def _fold_block(block: np.ndarray, prior: np.ndarray, sums: np.ndarray, totals: 
 
     Row r's interval in group g spans the m group times before slot (r, g),
     so Y = m + k*C, with C the flags among those m slots; prior holds the
-    flags of the row before the block. A block of at least _WINDOW_SLOTS
-    slots at m < _WINDOW_GROUPS takes every C as an int8 window sum of width
-    m, by _window_sums, over prior and the block's flat flags, and each
-    row's flag total as the window that covers it; any other block takes C
-    as the difference, m slots apart, of one exclusive flat count of its
-    flags that starts at minus prior's flags at or after each group. Over
-    every row it adds the sums of C, C^2, C*F and F per group into the
-    (4, m) int64 sums, sum C telescoping, and takes per row the deviations
-    u and v of the pooled sums over all n sources of Y and of the double
-    area Y^2 + 2*Y*S, which are k*sum Y and k*sum (Y^2 + 2Y + (k+1)*Y*F),
-    from a quiet row's k*m^2 and k*m^2*(m + 2); _add_exact_sums adds their
-    nine sums into totals, and head and tail are (u, v) of the first and
-    last rows. C <= m, so each sum of C, C^2 or C*F is at most m^3 or
-    rows*m^2: the counts and those sums run in int32 while both are below
-    2^31, and in int64 otherwise. The row deviations follow from them by
-    exact int64 algebra. Its (rows, m) arrays die on return. _fold takes it
-    for m > _CENSUS_GROUPS and _fold_census, which returns the same, for
-    narrower blocks.
+    flags of the row before the block. It takes every C as a window sum of
+    width m, by _window_sums, over prior and the block's flat flags in
+    uint8, uint16 or uint32, the narrowest that holds m, and each row's flag
+    total as the window that covers it. Over every row it adds the sums of
+    C, C^2, C*F and F per group into the (4, m) int64 sums, sum C
+    telescoping, and takes per row the deviations u and v of the pooled
+    sums over all n sources of Y and of the double area Y^2 + 2*Y*S, which
+    are k*sum Y and k*sum (Y^2 + 2Y + (k+1)*Y*F), from a quiet row's k*m^2
+    and k*m^2*(m + 2); _add_exact_sums adds their nine sums into totals, and
+    head and tail are (u, v) of the first and last rows. C <= m, so each sum
+    of C, C^2 or C*F is at most m^3 or rows*m^2: C and those sums run in
+    int32 while both are below 2^31, and in int64 otherwise. The row
+    deviations follow from them by exact int64 algebra. Its (rows, m) arrays
+    die on return. _fold takes it for m > _CENSUS_GROUPS and _fold_census,
+    which returns the same, for narrower blocks.
     """
     rows, m = block.shape
     narrow = np.int32 if max(m**3, rows * m * m) < 2**31 else np.int64
-    if m < _WINDOW_GROUPS and rows * m >= _WINDOW_SLOTS:
-        flags = np.empty((rows + 1) * m, dtype=np.int8)
-        flags[:m] = prior
-        flags[m:] = block.reshape(-1)
-        windows = _window_sums(flags, m)  # windows[i]: the flags among flags[i : i + m]
-        c = windows[:-1].reshape(rows, m).astype(narrow)
-        row_flags = windows[m::m].astype(np.int64)
-        # sum C: the flags at or after g in prior and in every row, less those in the last row,
-        # and the flags before g in every row
-        sums[0] += np.cumsum(prior[::-1])[::-1] - np.cumsum(block[-1, ::-1])[::-1] + row_flags.sum()
-        del flags, windows  # before the reductions' temporaries
-    else:
-        counts = np.empty((rows + 1) * m + 1, dtype=narrow)
-        np.cumsum(prior[::-1], out=counts[m - 1 :: -1])
-        np.negative(counts[:m], out=counts[:m])
-        counts[m] = 0
-        np.cumsum(block, out=counts[m + 1 :])
-        before = counts[:-1].reshape(rows + 1, m)  # before[r + 1, g]: the block's flags before slot (r, g)
-        c = before[1:] - before[:-1]
-        row_flags = np.subtract(counts[2 * m :: m], counts[m:-1:m], dtype=np.int64)
-        sums[0] += before[-1] - before[0]
-        del counts, before  # before the reductions' temporaries
+    flags = np.empty((rows + 1) * m, dtype=np.uint8 if m < 2**8 else np.uint16 if m < 2**16 else np.uint32)
+    flags[:m] = prior
+    flags[m:] = block.reshape(-1)
+    windows = _window_sums(flags, m)  # windows[i]: the flags among flags[i : i + m]
+    c = windows[:-1].reshape(rows, m).astype(narrow)
+    row_flags = windows[m::m].astype(np.int64)
+    # sum C: the flags at or after g in prior and in every row, less those in the last row,
+    # and the flags before g in every row
+    sums[0] += np.cumsum(prior[::-1].view(np.int8) - block[-1, ::-1].view(np.int8))[::-1] + row_flags.sum()
+    del flags, windows  # before the reductions' temporaries
     length_counts = np.bincount(row_flags)
     f = block.astype(narrow)
     sums[1] += np.einsum("ij,ij->j", c, c)

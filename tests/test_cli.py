@@ -183,6 +183,10 @@ USAGE_ERRORS = [
     ("age-vs-k --n 120 --p-list 1.5", "probabilities must lie in [0, 1], got 1.5"),
     ("age-vs-k --n 120 --p-list ,", "probability list must not be empty"),
     ("age-vs-n --n-range 60-1200 --p-list 0.1", "expected an n range start:stop:step, got '60-1200'"),
+    ("age-vs-n --n-range 60:1.2e3:60 --p-list 0.1", "invalid n range '60:1.2e3:60'"),
+    ("age-vs-n --n-range 0:1200:60 --p-list 0.1", "invalid n range '0:1200:60'"),
+    ("age-vs-n --n-range 1200:60:60 --p-list 0.1", "invalid n range '1200:60:60'"),
+    ("age-vs-n --n-range 60:1200:0 --p-list 0.1", "invalid n range '60:1200:0'"),
     ("simulate --n 12 --p 0.3 --k 5 --cycles 100", "k must divide n exactly, got n=12, k=5"),
     ("simulate --n 12 --p 0.3 --k 3 --cycles 1", "--cycles must be >= 2"),
     ("simulate --n 12 --p 0.3 --k 3 --seeds 0,x", "invalid seed list '0,x'"),

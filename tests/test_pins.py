@@ -22,24 +22,23 @@ ROOT = Path(__file__).resolve().parent.parent
 # (argv, md5 of stdout): each pins one path of the simulator's draw and fold
 SIMULATE_PINS = [
     # the one-uniform-a-group stream (flags drawn as u < qbar); its dense
-    # m = 30 chunks count their intervals by int8 window sums
+    # m = 30 chunks fold whole
     ("--n 120 --p 0.1 --k 4 --cycles 100000 --seeds 0,1,2", "d5df90fef060cf76734d803c1576cbc7"),
     # about 2.4% of its intervals touch a flagged cycle, so it pins the
-    # quiet-row path; its gathered blocks are below the window sums' slot
-    # bound and take the flat count
+    # quiet-row path and the fold of gathered blocks
     ("--n 120 --p 1e-4 --k 4 --cycles 200000 --seeds 0,1,2", "675b78fa02a353cb394b82324330ba96"),
     # N*m*qbar is about 0.9 a seed, so every run draws only its flagged slots
     # (geometric gaps); seeds 0, 2, 3, 6 and 7 flag 1, 3, 2, 2 and 1 groups,
-    # in blocks of a few rows that take the flat count
+    # in blocks of a few rows
     ("--n 120 --p 3e-8 --k 4 --cycles 250000 --seeds 0,1,2,3,4,5,6,7", "7f8127ca7de1c9209d72190adf77ba70"),
-    # m = 2000 has m^3 >= 2^31, so every dense chunk counts and sums its
-    # flags in int64, not int32, unlike the other four; at m >= 128 it takes
-    # the flat count
+    # m = 2000 has m^3 >= 2^31, so every dense chunk sums C, C^2 and C*F
+    # in int64, not int32, unlike the others
     ("--n 2000 --p 0.5 --k 1 --cycles 300 --seeds 0,1", "e73f615b1a470d36a77bc1afb7df4d44"),
-    # m = 127 is the widest group count whose dense chunks count their
-    # intervals by int8 window sums: a window holds at most m flags, and 128
-    # would wrap
+    # m = 127 folds its dense chunks by uint8 window sums, as m = 30 does
     ("--n 127 --p 0.3 --k 1 --cycles 20000 --seeds 0,1", "3d224ae441eea2e03ec0ffc5b4c071ab"),
+    # m = 256 is the narrowest group count whose window sums take uint16:
+    # a window holds at most m flags, and uint8 would wrap to 0
+    ("--n 256 --p 0.3 --k 1 --cycles 20000 --seeds 0,1", "cb4789676adca77625ff7689e7f12e50"),
 ]
 
 
@@ -108,10 +107,10 @@ COLD_MEMORY_STEPS = {
     # slots; seeds 0, 3, 2 and 25 flag 1, 2, 3 and 4 cycles. Each flagged cycle
     # is a stretch of its own, whose fold block holds at most two rows of m
     # groups, and validate frees each seed's summary before the next seed's run,
-    # so four seeds trace what one run does: 114.7-115.4 MiB
-    "slot-drawn-under-130MiB": [
-        *((["simulate_age", [1321122, 7e-9, 1, 100, seed]], 130 * MiB) for seed in (0, 2, 3, 25)),
-        (["groupage", "validate --n 1321122 --p 7e-9 --k 1 --cycles 100 --seeds 0,2,3,25"], 130 * MiB),
+    # so four seeds trace what one run does: 110.9-111.6 MiB
+    "slot-drawn-under-120MiB": [
+        *((["simulate_age", [1321122, 7e-9, 1, 100, seed]], 120 * MiB) for seed in (0, 2, 3, 25)),
+        (["groupage", "validate --n 1321122 --p 7e-9 --k 1 --cycles 100 --seeds 0,2,3,25"], 120 * MiB),
     ],
     # the "multi-chunk" pin of tests/test_sim.py: three whole chunks of m = 1 at p = 0.3 and five
     # cycles, every chunk dense. Its census holds a chunk's flags and its rows' two-byte codes:

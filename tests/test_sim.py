@@ -750,11 +750,6 @@ def check_fold_against_instants(block, prior_row, k, census=False):
     return counts, group_sums, totals, head, tail
 
 
-def window_rows(m: int) -> int:
-    """The fewest rows of m groups that _fold_block counts by window sums when m admits them."""
-    return -(-sim._WINDOW_SLOTS // m)
-
-
 def after_row_0(draw, block, prior_row, k):
     """(block, prior row, k), or, when drawn and block has two rows or more, its rows from row 1 on after its row 0."""
     if len(block) > 1 and draw(st.booleans()):
@@ -766,15 +761,11 @@ def after_row_0(draw, block, prior_row, k):
 def fold_blocks(draw):
     """(block, prior row, k): random flags at a random density, after a random prior row or after the block's row 0.
 
-    Below INT32_M the rows are few, or within a few of window_rows(m), so
-    that blocks of m < 128 groups fall on both sides of the slot bound.
+    m falls on both sides of 255/256, where the window sums pass from uint8
+    to uint16, and of INT32_M, where the sums pass from int32 to int64.
     """
-    m = draw(st.sampled_from([1, 2, 3, 7, 30, 127, 128, INT32_M, INT32_M + 1]))
-    if m >= INT32_M:
-        rows = draw(st.integers(min_value=1, max_value=3))
-    else:
-        bound = window_rows(m)
-        rows = draw(st.integers(min_value=1, max_value=40) | st.integers(min_value=bound - 3, max_value=bound + 3))
+    m = draw(st.sampled_from([1, 2, 3, 7, 30, 127, 128, 255, 256, INT32_M, INT32_M + 1]))
+    rows = draw(st.integers(min_value=1, max_value=3 if m >= INT32_M else 40))
     k = draw(st.sampled_from([1, 2, 5, 1000]))
     density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -798,10 +789,8 @@ WIDEST_K = 1_664_509
 def census_blocks(draw):
     """(block, prior row, k) at m <= _CENSUS_GROUPS: one row, consecutive rows or a gathered block, as after_row_0.
 
-    Consecutive blocks are few rows or within a few of window_rows(m), so
-    that _fold_block takes both its window sums and its flat count. A
-    gathered block is _fold's: the rows r-1, r and r+1 of each flagged row r
-    of a chunk, and its row 0 after a flagged prior row.
+    A gathered block is _fold's: the rows r-1, r and r+1 of each flagged row
+    r of a chunk, and its row 0 after a flagged prior row.
     """
     m = draw(st.sampled_from([1, 2, 3]))
     k = draw(st.sampled_from([1, 2, 1000, 20_000, *([WIDEST_K] if m == 1 else [])]))
@@ -812,8 +801,7 @@ def census_blocks(draw):
         prior_row = rng.random(m) < density
         prior_row[rng.integers(m)] = True
     shape = draw(st.sampled_from(["one row", "consecutive", "gathered"]))
-    bound = window_rows(m)
-    rows = draw(st.integers(min_value=2, max_value=40) | st.integers(min_value=bound - 3, max_value=bound + 3))
+    rows = draw(st.integers(min_value=2, max_value=40))
     block = rng.random((1 if shape == "one row" else rows, m)) < density
     if shape == "gathered":
         busy = np.zeros(rows + 1, dtype=bool)
@@ -857,33 +845,38 @@ def test_fold_block_is_exact_at_the_int32_bound(rows):
         check_fold_against_instants(block[start:], np.ones(INT32_M, dtype=bool), 1)
 
 
-@pytest.mark.parametrize("m", [127, 128])
-def test_fold_block_is_exact_at_the_int8_bound(m):
-    # every slot flagged: each C and each row's flag total is m, which fits the int8
-    # window sums at m = 127 and would wrap to -128 at m = 128, so only m < 128 may
-    # take them; these blocks are past the slot bound, so m = 127 does
-    rows = window_rows(127) + 1
-    block = np.ones((rows, m), dtype=bool)
+@pytest.mark.parametrize("m, window_type", [(255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)])
+def test_fold_block_is_exact_at_the_window_type_bounds(m, window_type):
+    # every slot flagged: each C and each row's flag total is m, the largest value of
+    # uint8 at m = 255 and of uint16 at m = 65535, and one past it at m = 256 and 65536,
+    # where the narrower type would wrap to 0, so each m takes the narrowest type that holds it;
+    # _check_int64_totals admits k = 1000 at m = 256, but not k = 40 at m = 65535
+    block = np.ones((3, m), dtype=bool)
     for start in (0, 1):  # after an all-flagged prior row, or from row 1 on after row 0
-        for k in (1, 1000):
+        for k in (1, 1000 if m <= 256 else 20):
             with mock.patch.object(sim, "_window_sums", wraps=sim._window_sums) as window_sums:
                 check_fold_against_instants(block[start:], np.ones(m, dtype=bool), k)
-            assert window_sums.called == (m == 127)
+            assert window_sums.call_args.args[0].dtype == window_type
+
+
+# (window type, fewest and most window widths): every uint8 and uint16 width, and one uint32 width
+WINDOW_WIDTHS = [(np.uint8, 1, 2**8 - 1), (np.uint16, 2**8, 2**16 - 1), (np.uint32, 2**16 + 1, 2**16 + 1)]
 
 
 @settings(deadline=None, max_examples=200)
 @given(
-    st.integers(min_value=1, max_value=127),
+    st.sampled_from(WINDOW_WIDTHS).flatmap(lambda w: st.tuples(st.just(w[0]), st.integers(w[1], w[2]))),
     st.integers(min_value=0, max_value=300),
     st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_window_sums_equal_sliding_window_sums(m, extra, density, seed):
-    flags = (np.random.default_rng(seed).random(m + extra) < density).astype(np.int8)
-    expected = np.lib.stride_tricks.sliding_window_view(flags.astype(np.int64), m).sum(axis=1)
+def test_window_sums_equal_sliding_window_sums(width, extra, density, seed):
+    window_type, m = width
+    flags = (np.random.default_rng(seed).random(m + extra) < density).astype(window_type)
+    counts = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))  # counts[i]: the flags before entry i
     windows = sim._window_sums(flags.copy(), m)
-    assert windows.dtype == np.int8
-    assert np.array_equal(windows, expected)
+    assert windows.dtype == window_type
+    assert np.array_equal(windows, counts[m:] - counts[:-m])
 
 
 @pytest.mark.parametrize("share", [0.0, math.inf])
