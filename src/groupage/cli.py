@@ -35,11 +35,18 @@ ANALYTIC_RTOL = 1e-9
 SIMULATION_ALPHA = math.erfc(3.0 / math.sqrt(2.0))
 
 # Largest working set of age-vs-n's rows, at _AGE_VS_N_ROW_BYTES each, in
-# bytes; over it, age-vs-n exits 1 up front. simulate and validate admit what
-# sim._check_int64_totals admits, at most m = 1 321 122 groups and n < 2^21
-# sources; the largest, validate --n 1321122 --p 0.5 --k 1 --cycles 50, traces
+# bytes; over it, age-vs-n exits 1 up front. simulate and validate admit the
+# widths sim._check_int64_totals admits, at most m = 1 321 122 groups and
+# n < 2^21 sources; the widest, validate --n 1321122 --p 0.5 --k 1 --cycles 50, traces
 # 101.5 MiB, and tests/test_pins.py holds it under this budget.
 MEMORY_BUDGET_BYTES = 2**30
+# Most group-cycles, seeds x cycles x m, that simulate and validate draw and
+# fold; over it they exit 1 up front. simulate_age took 6-12 ns a group-cycle
+# at m = 1, 30, 50 and 1000, 18-21 ns at m = 4 and 31-33 ns at m = 1 321 122
+# (best of 3, 2 vCPUs, numpy 2.4.6), so an admitted run takes about a minute
+# at most. A slot-drawn run does less work than its count says; the bound
+# needs only to be safe and known before the first draw.
+_MAX_GROUP_CYCLES = 2 * 10**9
 # Peak bytes per age-vs-n row (its tuple, numbers and CSV line), under
 # tracemalloc: 313 to 330 over 20 000 to 40 000 rows.
 _AGE_VS_N_ROW_BYTES = 352
@@ -179,10 +186,22 @@ def cmd_kstar_vs_p(n: int, p_list: list[float], out: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(n: int, p: float, k: int, cycles: int, seeds: list[int], out: str | None) -> int:
-    """Per-seed simulated age and cycle moments next to their closed-form values."""
+def _simulation_config(n: int, p: float, k: int, cycles: int, seeds: list[int]) -> SystemConfig:
+    """The config of a simulate or validate run, refused unless its totals fit int64 and its work the bound."""
     config = validate_config(n, p, k)
     sim._check_int64_totals(config, cycles)
+    work = len(seeds) * cycles * config.m
+    if work > _MAX_GROUP_CYCLES:
+        raise UsageError(
+            f"seeds x cycles x groups = {len(seeds)} x {cycles} x {config.m} = {work} group-cycles, "
+            f"over the {_MAX_GROUP_CYCLES} admitted; use fewer cycles or seeds"
+        )
+    return config
+
+
+def cmd_simulate(n: int, p: float, k: int, cycles: int, seeds: list[int], out: str | None) -> int:
+    """Per-seed simulated age and cycle moments next to their closed-form values."""
+    config = _simulation_config(n, p, k, cycles, seeds)
     closed_age = analytic.average_age(config)
     rows = []
     for seed in sorted(seeds):
@@ -295,8 +314,7 @@ def cmd_validate(n: int, p: float, k: int, cycles: int, seeds: list[int]) -> int
     _simulation_legs judges each seed's simulation legs, and a seed's exact
     tail, when it has one, is printed on a line of its own before its legs.
     """
-    config = validate_config(n, p, k)
-    sim._check_int64_totals(config, cycles)
+    config = _simulation_config(n, p, k, cycles, seeds)
     closed = analytic.closed_form_moments(config)
     analytic_ok = statistical_ok = True
     oracles = [("convolution-oracle", analytic.convolution_oracle)]

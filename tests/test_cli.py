@@ -192,6 +192,16 @@ USAGE_ERRORS = [
     ("simulate --n 12 --p 0.3 --k 3 --seeds 0,x", "invalid seed list '0,x'"),
     ("simulate --n 12 --p 0.3 --k 3 --seeds ,", "seed list must not be empty"),
     ("validate --n 12 --p 0.3 --k 3 --seeds 1,-1", "invalid seed list '1,-1': seeds must be non-negative"),
+    (
+        "simulate --n 1 --p 0.5 --k 1 --cycles 1000000000000 --seeds 0",
+        "seeds x cycles x groups = 1 x 1000000000000 x 1 = 1000000000000 group-cycles, "
+        "over the 2000000000 admitted; use fewer cycles or seeds",
+    ),
+    (
+        "validate --n 4 --p 0.5 --k 2 --cycles 1000000000000 --seeds 0",
+        "seeds x cycles x groups = 1 x 1000000000000 x 2 = 2000000000000 group-cycles, "
+        "over the 2000000000 admitted; use fewer cycles or seeds",
+    ),
 ]
 
 
@@ -404,6 +414,70 @@ def test_oversized_input_exits_one_by_the_int64_check_before_simulating(capsys):
     assert refuse.call_count == 0
 
 
+class _Admitted(Exception):
+    """Raised by a patched simulate_age: the run got past every admission check."""
+
+
+def _admitted(argv: list[str]) -> bool:
+    """Whether main admits argv: True if it reaches the simulator, False if it exits 1 with no draw."""
+    with mock.patch.object(sim, "simulate_age", side_effect=_Admitted):
+        try:
+            code = main(argv)
+        except _Admitted:
+            return True
+    assert code == EXIT_USAGE
+    return False
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_work_bound_is_exact_to_one_group_cycle(command, capsys):
+    # at m = 1 and one seed the work is the cycle count itself
+    bound = cli._MAX_GROUP_CYCLES
+    for cycles, admitted in [(bound - 1, True), (bound, True), (bound + 1, False)]:
+        argv = [command, "--n", "1", "--p", "0.5", "--k", "1", "--cycles", str(cycles), "--seeds", "0"]
+        assert _admitted(argv) == admitted, cycles
+        captured = capsys.readouterr()
+        if not admitted:
+            assert captured.out == ""
+            assert f"= {cycles} group-cycles, over the {bound} admitted" in captured.err
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_work_bound_counts_every_seed(command, capsys):
+    # one seed of 10^6 cycles at m = 1000 is half the bound: two seeds are
+    # admitted, and a long list is refused by the product, not seed by seed
+    argv = [command, "--n", "1000", "--p", "0.5", "--k", "1", "--cycles", str(10**6), "--seeds"]
+    assert _admitted([*argv, "0,1"])
+    assert not _admitted([*argv, "0,1,2"])
+    long_list = ",".join(map(str, range(5000)))
+    assert not _admitted([*argv, long_list])
+    assert "= 5000 x 1000000 x 1000 = 5000000000000 group-cycles" in capsys.readouterr().err
+    # m = 1 and 2000 seeds of 10^6 cycles sit exactly at the bound
+    small = [command, "--n", "1", "--p", "0.5", "--k", "1", "--cycles", str(10**6), "--seeds"]
+    assert _admitted([*small, ",".join(map(str, range(2000)))])
+    assert not _admitted([*small, ",".join(map(str, range(2001)))])
+
+
+@pytest.mark.parametrize(
+    "argv,work",
+    [
+        # the widest validate of tests/test_pins.py's COLD_MEMORY_STEPS
+        ("validate --n 1321122 --p 0.5 --k 1 --cycles 50 --seeds 0", 66_056_100),
+        # its slot-drawn four-seed run
+        ("validate --n 1321122 --p 7e-9 --k 1 --cycles 100 --seeds 0,2,3,25", 528_448_800),
+        # the README's simulate
+        ("simulate --n 120 --p 0.1 --k 4 --cycles 100000 --seeds 0,1,2", 9_000_000),
+        # the widest validate op of the benchmark's seeds 1-20
+        ("validate --n 14383 --p 4.820262540710036e-08 --k 1 --cycles 139 --seeds 2193406727", 1_999_237),
+    ],
+)
+def test_documented_inputs_are_admitted(argv, work):
+    args = argv.split()
+    n, k, cycles = (int(args[args.index(flag) + 1]) for flag in ("--n", "--k", "--cycles"))
+    assert len(args[-1].split(",")) * cycles * (n // k) == work < cli._MAX_GROUP_CYCLES
+    assert _admitted(args)
+
+
 def test_cycle_count_alone_does_not_pass_the_memory_budget(capsys):
     # the simulator keeps no per-cycle series, so its working set is one chunk
     # whatever --cycles is; this input was once refused at about 1027 MiB
@@ -436,9 +510,10 @@ def _int64_admits(n: int, k: int) -> bool:
 
 
 def test_largest_admitted_runs_fit_the_budget(capsys):
-    # the int64 check is the only admission rule of simulate and validate;
-    # its largest runs, the most groups at k = 1 and the widest single group,
-    # must still fit the memory budget that age-vs-n keeps
+    # the int64 check bounds the width of a simulate or validate run (the
+    # work bound its cycles and seeds); its largest runs, the most groups at
+    # k = 1 and the widest single group, must still fit the memory budget
+    # that age-vs-n keeps
     groups = _largest_admitted(lambda m: _int64_admits(m, 1), 1)
     width = _largest_admitted(lambda k: _int64_admits(k, k), 1)
     assert (groups, width) == (1_321_122, 1_664_509)

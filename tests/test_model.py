@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from groupage import model
 from groupage.model import DIVISORS_MAX_N, SystemConfig, divisors, validate_config
 
 from oracles import brute_force_divisors, group_outcome, sample_statuses, source_service_time
@@ -47,22 +50,138 @@ def test_validate_config_rejects_non_divisor():
         validate_config(120, 0.1, 7)
 
 
-@pytest.mark.parametrize(
-    "n,p,k",
-    [
-        (120, -0.1, 4),
-        (120, 1.1, 4),
-        (120, 0.1, 0),
-        (120, 0.1, 121),
-        (0, 0.1, 1),
-        (120.0, 0.1, 4),
-        (120, 0.1, 4.0),
-        (4, 0.5, True),
-    ],
-)
+OUT_OF_RANGE = [
+    (120, -0.1, 4),
+    (120, 1.1, 4),
+    (120, 0.1, 0),
+    (120, 0.1, 121),
+    (0, 0.1, 1),
+    (120.0, 0.1, 4),
+    (120, 0.1, 4.0),
+    (4, 0.5, True),
+]
+
+
+@pytest.mark.parametrize("n,p,k", OUT_OF_RANGE)
 def test_validate_config_rejects_out_of_range(n, p, k):
     with pytest.raises(ValueError):
         validate_config(n, p, k)
+
+
+def test_validate_config_messages_name_the_bad_input():
+    for (n, p, k), message in [
+        ((0, 0.1, 1), "n must be a positive integer, got 0"),
+        ((-4, 0.1, 1), "n must be a positive integer, got -4"),
+        ((True, 0.1, 1), "n must be a positive integer, got n=True"),
+        ((120.0, 0.1, 4), "n must be a positive integer, got n=120.0"),
+        ((120, 1.1, 4), "p must lie in [0, 1], got 1.1"),
+        ((120, 0.1, 4.0), "k must be an integer, got k=4.0"),
+        ((120, 0.1, 121), "k must lie in [1, n], got k=121 for n=120"),
+        ((120, 0.1, 7), "k must divide n exactly, got n=120, k=7"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            validate_config(n, p, k)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("n,p,k", OUT_OF_RANGE)
+def test_system_config_rejects_what_validate_config_rejects(n, p, k):
+    with pytest.raises(ValueError):
+        SystemConfig(n, p, k)
+
+
+def test_system_config_is_validate_config():
+    for n, p, k in [(120, 0.1, 4), (1, 0.0, 1), (12, 1.0, 3), (720720, 1e-15, 720720)]:
+        cfg = SystemConfig(n, p, k)
+        assert type(cfg) is SystemConfig
+        assert cfg == validate_config(n, p, k)
+        assert cfg._fields == ("n", "p", "k", "m", "q", "qbar")
+
+
+def test_config_is_the_tuple_of_its_six_values():
+    cfg = validate_config(120, 0.1, 4)
+    n, p, k, m, q, qbar = cfg
+    assert cfg == (120, 0.1, 4, 30, q, qbar)
+    assert (n, p, k, m, q, qbar) == (cfg.n, cfg.p, cfg.k, cfg.m, cfg.q, cfg.qbar)
+    assert list(cfg) == [120, 0.1, 4, 30, q, qbar]
+
+
+@pytest.mark.parametrize("name", ["n", "p", "k", "m", "q", "qbar", "extra"])
+def test_config_fields_cannot_be_assigned(name):
+    cfg = validate_config(120, 0.1, 4)
+    with pytest.raises(AttributeError):
+        setattr(cfg, name, 1)
+    assert cfg == validate_config(120, 0.1, 4)
+
+
+def test_config_copies_and_pickles_equal():
+    cfg = validate_config(720, 0.02, 8)
+    copies = [copy.copy(cfg), copy.deepcopy(cfg)]
+    copies += [pickle.loads(pickle.dumps(cfg, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is SystemConfig
+        assert other == cfg
+
+
+def test_config_copies_and_pickles_rebuild_through_the_checks(monkeypatch):
+    cfg = validate_config(720, 0.02, 8)
+    calls = []
+    checked = model.validate_config
+    monkeypatch.setattr(model, "validate_config", lambda *args: calls.append(args) or checked(*args))
+    copy.copy(cfg)
+    copy.deepcopy(cfg)
+    pickle.loads(pickle.dumps(cfg))
+    assert calls == [(720, 0.02, 8)] * 3
+
+
+def test_replace_and_make_go_through_the_checks():
+    cfg = validate_config(120, 0.1, 4)
+    with pytest.raises(ValueError, match="divide"):
+        cfg._replace(k=7)
+    assert cfg._replace(k=6) == validate_config(120, 0.1, 6)
+    assert cfg._replace(n=240, p=0.3) == validate_config(240, 0.3, 4)
+    with pytest.raises(ValueError, match="only n, p and k"):
+        cfg._replace(m=29)
+    with pytest.raises(ValueError, match="p must lie"):
+        cfg._replace(p=1.5)
+    assert SystemConfig._make(cfg) == cfg
+    assert SystemConfig._make(list(cfg)) == cfg
+    with pytest.raises(ValueError, match="divide"):
+        SystemConfig._make((120, 0.1, 7, 17, cfg.q, cfg.qbar))
+    inconsistent = [
+        (120, 0.1, 4, 31, cfg.q, cfg.qbar),
+        (120, 0.1, 4, 30, cfg.q, 1.0),
+        (120, 0.1, 6, 30, cfg.q, cfg.qbar),
+        (120, 0.1, 4),
+        (*cfg, 0),
+    ]
+    for values in inconsistent:
+        with pytest.raises(ValueError, match="derived from them"):
+            SystemConfig._make(values)
+
+
+@given(
+    st.integers(min_value=1, max_value=5000).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from(divisors(n)))
+    ),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=1e-300, max_value=1e-6),
+        st.sampled_from([0.0, 1.0, 5e-324, 1e-15, 0.5, math.nextafter(1.0, 0.0)]),
+    ),
+)
+def test_derived_probabilities_are_exactly_the_log1p_forms(nk, p):
+    n, k = nk
+    cfg = validate_config(n, p, k)
+    assert (cfg.n, cfg.p, cfg.k, cfg.m) == (n, p, k, n // k)
+    if p == 1.0:
+        assert (cfg.q, cfg.qbar) == (0.0, 1.0)
+    else:
+        assert cfg.q == math.exp(k * math.log1p(-p))
+        assert cfg.qbar == -math.expm1(k * math.log1p(-p))
+    if p == 0.0:
+        assert (cfg.q, cfg.qbar) == (1.0, 0.0)
+        assert math.copysign(1.0, cfg.qbar) == 1.0  # +0.0, not -0.0
 
 
 def test_all_clear_probability_small_p_precision():
